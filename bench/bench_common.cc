@@ -131,43 +131,27 @@ prepareNet(const StudyModel &m, bool training, uint64_t seed,
 
 namespace {
 
-/** Thrown when a cell attempt overruns its --cell-timeout budget. */
-struct CellTimeout : std::runtime_error
+std::string
+cellLabel(const StudyModel &m, bool training)
 {
-    using std::runtime_error::runtime_error;
-};
+    return std::string(modelName(m.id)) + " (" +
+           (training ? "training" : "inference") + ")";
+}
 
-/**
- * Per-attempt deadline, checked cooperatively at the cell's phase
- * boundaries (after the fault hook, after preparation, after each
- * policy run). Cooperative checkpoints keep the timeout thread-free -
- * no detached watchdogs to leak past a sanitizer run - at the cost of
- * granularity: an attempt is only declared over time once the phase
- * it is inside finishes.
- */
-class Deadline
+/** The one way a failed StudyRow is built: in-process faults, worker
+ *  deaths, undecodable worker rows and decoded failed rows alike. */
+StudyRow
+failedRow(std::string model, bool training, std::string error,
+          int attempts)
 {
-  public:
-    Deadline(double seconds, const std::string &what)
-        : enabled_(seconds > 0), what_(what)
-    {
-        if (enabled_)
-            at_ = Clock::now() +
-                  std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(seconds));
-    }
-
-    void check() const
-    {
-        if (enabled_ && Clock::now() > at_)
-            throw CellTimeout(what_ + " timed out (--cell-timeout)");
-    }
-
-  private:
-    bool enabled_;
-    std::string what_;
-    Clock::time_point at_;
-};
+    StudyRow row;
+    row.model = std::move(model);
+    row.training = training;
+    row.status = CellStatus::Failed;
+    row.error = std::move(error);
+    row.attempts = attempts;
+    return row;
+}
 
 /**
  * One (model, mode) study cell: build + functionally execute the
@@ -179,19 +163,15 @@ class Deadline
  */
 StudyRow
 runStudyCell(const StudyModel &m, bool training, const StudyOptions &opt,
-             const StudyHarness &h, int attempt, BumpArena &arena,
-             bool want_stats)
+             int attempt, BumpArena &arena, bool want_stats)
 {
     const char *mode = training ? "training" : "inference";
     inform("preparing %s (%s)...", modelName(m.id), mode);
     TraceWriter *tw = TraceWriter::global();
-    std::string cell =
-        std::string(modelName(m.id)) + " (" + mode + ")";
-    Deadline deadline(h.cellTimeoutSec, cell);
+    std::string cell = cellLabel(m, training);
 
     if (opt.faultHook)
         opt.faultHook(m, training, attempt);
-    deadline.check();
 
     // Span timestamps are sampled outside the timed windows: nowUs()
     // before Clock::now() on entry, and after msSince() on exit, so
@@ -206,7 +186,6 @@ runStudyCell(const StudyModel &m, bool training, const StudyOptions &opt,
     row.attempts = attempt;
     if (tw)
         tw->hostSpan("prep " + cell, tus0, tw->nowUs());
-    deadline.check();
 
     const std::vector<StudyPolicy> &pols = studyPolicies();
     row.results.resize(pols.size());
@@ -225,7 +204,6 @@ runStudyCell(const StudyModel &m, bool training, const StudyOptions &opt,
                              cell,
                          tus1, tw->nowUs());
         }
-        deadline.check();
     }
 
     // Snapshot the cell's full stats tree only when a report wants
@@ -251,10 +229,10 @@ runStudyCell(const StudyModel &m, bool training, const StudyOptions &opt,
 }
 
 /**
- * Fault-isolated wrapper around runStudyCell(): a throwing or timed
- * out attempt is retried up to harness.retries times with doubling
- * backoff, and exhausted attempts come back as a CellStatus::Failed
- * row instead of propagating out of the pool worker.
+ * Fault-isolated wrapper around runStudyCell(): a throwing attempt is
+ * retried up to harness.retries times with doubling backoff, and
+ * exhausted attempts come back as a CellStatus::Failed row instead of
+ * propagating out of the pool worker.
  */
 StudyRow
 runStudyCellGuarded(const StudyModel &m, bool training,
@@ -282,7 +260,7 @@ runStudyCellGuarded(const StudyModel &m, bool training,
         }
         bool aborted = false;
         try {
-            return runStudyCell(m, training, opt, h, attempt, arena,
+            return runStudyCell(m, training, opt, attempt, arena,
                                 want_stats);
         } catch (const CellAbort &e) {
             // Deterministic failure: retrying would reproduce it.
@@ -305,13 +283,7 @@ runStudyCellGuarded(const StudyModel &m, bool training,
             break;
         }
     }
-    StudyRow row;
-    row.model = modelName(m.id);
-    row.training = training;
-    row.status = CellStatus::Failed;
-    row.error = error;
-    row.attempts = attempts_used;
-    return row;
+    return failedRow(modelName(m.id), training, error, attempts_used);
 }
 
 } // namespace
@@ -391,13 +363,15 @@ studyRowToJson(const StudyRow &row)
 
 namespace {
 
+/** obj[key]; throws std::runtime_error when the field is missing or
+ *  fails the type check @p is. */
 const Json &
-rowField(const Json &obj, const char *key)
+field(const Json &obj, const char *key, bool (Json::*is)() const)
 {
-    const Json *p = obj.isObject() ? obj.find(key) : nullptr;
-    if (!p)
+    const Json *p = obj.find(key);
+    if (!p || !(p->*is)())
         throw std::runtime_error(
-            format("study row JSON: missing field '%s'", key));
+            format("field '%s' missing or mistyped", key));
     return *p;
 }
 
@@ -406,36 +380,26 @@ rowField(const Json &obj, const char *key)
 StudyRow
 studyRowFromJson(const Json &j)
 {
-    if (!j.isObject())
-        throw std::runtime_error("study row JSON: not an object");
+    std::string model = field(j, "model", &Json::isString).asString();
+    const std::string &mode = field(j, "mode", &Json::isString).asString();
+    if (mode != "training" && mode != "inference")
+        throw std::runtime_error("study row JSON: bad mode");
+    bool training = mode == "training";
     if (const Json *failed = j.find("failed");
         failed && failed->isBool() && failed->asBool())
-        throw std::runtime_error("study row JSON: failed row");
+        return failedRow(
+            model, training,
+            field(j, "error", &Json::isString).asString(),
+            static_cast<int>(
+                field(j, "attempts", &Json::isNumber).asInt()));
 
     StudyRow row;
-    const Json &model = rowField(j, "model");
-    if (!model.isString())
-        throw std::runtime_error("study row JSON: model not a string");
-    row.model = model.asString();
-
-    const Json &mode = rowField(j, "mode");
-    if (!mode.isString() || (mode.asString() != "training" &&
-                             mode.asString() != "inference"))
-        throw std::runtime_error("study row JSON: bad mode");
-    row.training = mode.asString() == "training";
-
-    const Json &prep = rowField(j, "prepMillis");
-    if (!prep.isNumber())
-        throw std::runtime_error(
-            "study row JSON: prepMillis not a number");
-    row.prepMillis = prep.asDouble();
-
-    if (const Json *attempts = j.find("attempts")) {
-        if (!attempts->isNumber())
-            throw std::runtime_error(
-                "study row JSON: attempts not a number");
-        row.attempts = static_cast<int>(attempts->asInt());
-    }
+    row.model = std::move(model);
+    row.training = training;
+    row.prepMillis = field(j, "prepMillis", &Json::isNumber).asDouble();
+    if (j.find("attempts"))
+        row.attempts = static_cast<int>(
+            field(j, "attempts", &Json::isNumber).asInt());
 
     // Policy names are validated here, at parse time, against the
     // scheme registry: every study policy must be present, and no
@@ -443,42 +407,29 @@ studyRowFromJson(const Json &j)
     // otherwise deserialize into a row whose layout no caller
     // expects).
     const std::vector<StudyPolicy> &policies = studyPolicies();
-    const Json &pols = rowField(j, "policies");
-    if (!pols.isObject() || pols.size() != policies.size())
+    const Json &pols = field(j, "policies", &Json::isObject);
+    if (pols.size() != policies.size())
         throw std::runtime_error(
             "study row JSON: policies do not match the scheme "
             "registry");
     row.results.resize(policies.size());
     row.simMillis.assign(policies.size(), 0.0);
     for (size_t pi = 0; pi < policies.size(); pi++) {
-        const Json &p = rowField(pols, policies[pi].name.c_str());
-        const Json &sim_ms = rowField(p, "simMillis");
-        if (!sim_ms.isNumber())
-            throw std::runtime_error(
-                "study row JSON: simMillis not a number");
-        row.simMillis[pi] = sim_ms.asDouble();
+        const Json &p =
+            field(pols, policies[pi].name.c_str(), &Json::isObject);
+        row.simMillis[pi] =
+            field(p, "simMillis", &Json::isNumber).asDouble();
         row.results[pi].total =
-            runStatsFromJson(rowField(p, "total"));
+            runStatsFromJson(field(p, "total", &Json::isObject));
 
-        const Json &layers = rowField(p, "layers");
-        if (!layers.isArray())
-            throw std::runtime_error(
-                "study row JSON: layers not an array");
+        const Json &layers = field(p, "layers", &Json::isArray);
         row.results[pi].layers.reserve(layers.size());
         for (size_t i = 0; i < layers.size(); i++) {
             const Json &l = layers.at(i);
             LayerPassStats lp;
-            const Json &name = rowField(l, "name");
-            if (!name.isString())
-                throw std::runtime_error(
-                    "study row JSON: layer name not a string");
-            lp.name = name.asString();
-            const Json &backward = rowField(l, "backward");
-            if (!backward.isBool())
-                throw std::runtime_error(
-                    "study row JSON: layer backward not a bool");
-            lp.backward = backward.asBool();
-            lp.stats = runStatsFromJson(rowField(l, "stats"));
+            lp.name = field(l, "name", &Json::isString).asString();
+            lp.backward = field(l, "backward", &Json::isBool).asBool();
+            lp.stats = runStatsFromJson(field(l, "stats", &Json::isObject));
             row.results[pi].layers.push_back(std::move(lp));
         }
     }
@@ -496,200 +447,84 @@ studyHarness()
 
 namespace {
 
-/** One (model, mode) cell reference shared by both execution paths. */
+/** One (model, mode) cell of a sweep. */
 struct CellRef
 {
     StudyModel m;
     bool training;
 };
 
-/** Schema tag of the hidden --worker-cell spec JSON. */
-constexpr const char *workerCellSchema = "zcomp-worker-cell-v1";
-
-/** Serialize a cell into the --worker-cell spec the worker parses.
- *  The full StudyModel rides along (not just an index into
- *  studyModels()) so tests can sweep their own tiny models. */
-std::string
-workerCellSpec(const StudyModel &m, bool training, bool want_stats)
-{
-    Json s = Json::object();
-    s["schema"] = workerCellSchema;
-    Json &model = s["model"];
-    model = Json::object();
-    model["id"] = static_cast<int64_t>(m.id);
-    model["trainBatch"] = m.trainBatch;
-    model["inferBatch"] = m.inferBatch;
-    model["imageSize"] = m.imageSize;
-    model["widthScale"] = m.widthScale;
-    s["training"] = training;
-    s["wantStats"] = want_stats;
-    return s.dump();
-}
-
-std::string
-cellLabel(const StudyModel &m, bool training)
-{
-    return std::string(modelName(m.id)) + " (" +
-           (training ? "training" : "inference") + ")";
-}
-
-/** Decode one worker-reported row (success or typed failure). */
+/**
+ * Simulate one cell (retries included) and store a successful row in
+ * the result cache. Both executors run every cell through here: the
+ * pool task in-process, and runWorkerCell() in a worker process. A
+ * worker stores its own row because the cache is the data plane
+ * between workers and any later --resume: a supervisor that dies
+ * after the store loses coordination, not results.
+ */
 StudyRow
-rowFromWorkerJson(const Json &j, const CellRef &c)
+simulateAndStore(const StudyModel &m, bool training,
+                 const StudyOptions &opt, const StudyHarness &h,
+                 bool want_stats, ResultCache *cache)
 {
-    if (const Json *f = j.find("failed");
-        f && f->isBool() && f->asBool()) {
-        StudyRow row;
-        row.model = modelName(c.m.id);
-        row.training = c.training;
-        row.status = CellStatus::Failed;
-        const Json *err = j.find("error");
-        row.error = err && err->isString() ? err->asString()
-                                           : "unknown worker failure";
-        const Json *att = j.find("attempts");
-        row.attempts = att && att->isNumber()
-                           ? static_cast<int>(att->asInt())
-                           : 1;
-        return row;
-    }
-    StudyRow row = studyRowFromJson(j);
-    row.status = CellStatus::Simulated;
+    StudyRow row = runStudyCellGuarded(m, training, opt, h, want_stats);
+    if (cache && row.status != CellStatus::Failed)
+        cache->store(studyCellKey(m, training, want_stats),
+                     studyRowToJson(row));
     return row;
 }
 
 /**
- * The --isolate-cells execution path: shard the non-cached cells
- * across worker processes under the SweepSupervisor. Row order and
- * (successful) row bytes are identical to the in-process path -
- * rows round-trip through studyRowToJson/FromJson exactly - while a
- * cell that SIGSEGVs, deadlocks or spins costs exactly itself.
+ * The --isolate-cells executor: run the given cells in worker
+ * processes under the SweepSupervisor, so a cell that SIGSEGVs,
+ * deadlocks or spins costs exactly itself. Each worker is this
+ * binary re-invoked with `--worker-cell <spec>`, where the spec is
+ * the cell's cache key plus the three harness values a worker needs
+ * that the key does not hold (cache dir, retries, quiet). Rows come
+ * back in studyRowToJson() form and round-trip exactly; @p settle
+ * receives each one as its cell finishes.
  */
-std::vector<StudyRow>
-runStudyIsolated(const std::vector<CellRef> &cells,
-                 const StudyHarness &h, bool want_stats,
-                 const std::shared_ptr<ResultCache> &cache,
-                 const std::shared_ptr<SweepProgress> &progress)
+void
+runCellsInWorkers(const std::vector<CellRef> &cells,
+                  const std::vector<size_t> &todo, const StudyHarness &h,
+                  bool want_stats,
+                  const std::function<void(size_t, StudyRow)> &settle)
 {
-    std::vector<std::optional<StudyRow>> rows(cells.size());
-
-    // Resume pre-pass, identical in behavior to the in-process path:
-    // cached cells never reach a worker.
-    std::vector<SweepCell> todo;
-    std::vector<size_t> todo_idx;
-    for (size_t i = 0; i < cells.size(); i++) {
-        const CellRef &c = cells[i];
-        if (cache && h.resume) {
-            std::string key =
-                studyCellKey(c.m, c.training, want_stats);
-            if (std::optional<Json> v = cache->lookup(key)) {
-                try {
-                    StudyRow row = studyRowFromJson(*v);
-                    row.status = CellStatus::Cached;
-                    inform("%s (%s) restored from cache",
-                           modelName(c.m.id),
-                           c.training ? "training" : "inference");
-                    rows[i] = std::move(row);
-                    if (progress)
-                        progress->cellDone(/*cached=*/true,
-                                           /*failed=*/false,
-                                           /*attempts=*/1);
-                    continue;
-                } catch (const std::exception &e) {
-                    warn("result cache: entry for %s (%s) does not "
-                         "decode (%s); re-simulating",
-                         modelName(c.m.id),
-                         c.training ? "training" : "inference",
-                         e.what());
-                }
+    std::vector<SweepCell> specs;
+    for (size_t i : todo) {
+        Json spec = Json::object();
+        spec["key"] = studyCellKey(cells[i].m, cells[i].training,
+                                   want_stats);
+        spec["cacheDir"] = h.cacheDir;
+        spec["retries"] = h.retries;
+        spec["quiet"] = quiet();
+        specs.push_back(
+            {spec.dump(), cellLabel(cells[i].m, cells[i].training)});
+    }
+    SweepSupervisorOptions sopt;
+    sopt.workerArgv = {"/proc/self/exe"};
+    sopt.workers = std::max(1, h.workers);
+    sopt.hardTimeoutSec = h.hardTimeoutSec;
+    sopt.heartbeatTimeoutSec = h.heartbeatTimeoutSec;
+    sopt.backoffMillis = h.backoffMillis;
+    sopt.onCellDone = [&](size_t j, const SweepCellResult &r) {
+        const CellRef &c = cells[todo[j]];
+        // A supervisor-domain failure (signal name, hard timeout or
+        // heartbeat loss) types the row unless the worker reported
+        // one of its own.
+        StudyRow row = failedRow(modelName(c.m.id), c.training, r.error,
+                                 std::max(1, r.attempts));
+        if (r.ok) {
+            try {
+                row = studyRowFromJson(r.row);
+            } catch (const std::exception &e) {
+                row.error =
+                    format("worker row does not decode: %s", e.what());
             }
         }
-        todo.push_back({workerCellSpec(c.m, c.training, want_stats),
-                        cellLabel(c.m, c.training)});
-        todo_idx.push_back(i);
-    }
-
-    if (!todo.empty()) {
-        SweepSupervisorOptions sopt;
-        sopt.workerArgv = h.workerArgv;
-        if (sopt.workerArgv.empty())
-            sopt.workerArgv.push_back("/proc/self/exe");
-        // Re-arm the worker with exactly the harness context that
-        // changes a row: cache (stores), in-worker retries and the
-        // cooperative timeout, and the fault spec (part of the cache
-        // key). Report/trace/metrics stay parent-only.
-        if (!h.cacheDir.empty()) {
-            sopt.workerArgv.push_back("--cache");
-            sopt.workerArgv.push_back(h.cacheDir);
-        }
-        if (h.retries > 0) {
-            sopt.workerArgv.push_back("--retries");
-            sopt.workerArgv.push_back(format("%d", h.retries));
-        }
-        if (h.cellTimeoutSec > 0) {
-            sopt.workerArgv.push_back("--cell-timeout");
-            sopt.workerArgv.push_back(format("%g", h.cellTimeoutSec));
-        }
-        if (!h.faultSpec.empty()) {
-            sopt.workerArgv.push_back("--fault-spec");
-            sopt.workerArgv.push_back(h.faultSpec);
-        }
-        if (quiet())
-            sopt.workerArgv.push_back("--quiet");
-        sopt.workers = std::max(1, h.workers);
-        sopt.hardTimeoutSec = h.hardTimeoutSec;
-        sopt.heartbeatTimeoutSec = h.heartbeatTimeoutSec;
-        sopt.backoffMillis = h.backoffMillis;
-        sopt.onCellDone = [&progress](const SweepCellResult &r) {
-            if (!progress)
-                return;
-            bool failed = !r.ok;
-            if (r.ok) {
-                const Json *f = r.row.find("failed");
-                failed = f && f->isBool() && f->asBool();
-            }
-            progress->cellDone(/*cached=*/false, failed,
-                               std::max(1, r.attempts));
-        };
-
-        SweepSupervisor sup(sopt);
-        std::vector<SweepCellResult> results = sup.run(todo);
-        for (size_t j = 0; j < results.size(); j++) {
-            const SweepCellResult &r = results[j];
-            const CellRef &c = cells[todo_idx[j]];
-            StudyRow row;
-            if (r.ok) {
-                try {
-                    row = rowFromWorkerJson(r.row, c);
-                } catch (const std::exception &e) {
-                    row.model = modelName(c.m.id);
-                    row.training = c.training;
-                    row.status = CellStatus::Failed;
-                    row.error = format(
-                        "worker row does not decode: %s", e.what());
-                    row.attempts = std::max(1, r.attempts);
-                }
-            } else {
-                // Out-of-process failure domain: signal name, hard
-                // timeout or heartbeat loss, straight from the
-                // supervisor.
-                row.model = modelName(c.m.id);
-                row.training = c.training;
-                row.status = CellStatus::Failed;
-                row.error = r.error;
-                row.attempts = std::max(1, r.attempts);
-            }
-            rows[todo_idx[j]] = std::move(row);
-        }
-    }
-
-    std::vector<StudyRow> out;
-    out.reserve(cells.size());
-    for (std::optional<StudyRow> &row : rows) {
-        panic_if(!row.has_value(), "isolated study cell never "
-                                   "resolved");
-        out.push_back(std::move(*row));
-    }
-    return out;
+        settle(todo[j], std::move(row));
+    };
+    SweepSupervisor(sopt).run(specs);
 }
 
 } // namespace
@@ -706,9 +541,9 @@ runStudy(const StudyOptions &opt)
     // collected is part of the cache key: a cached row can only stand
     // in for a fresh one when both would carry the same fields.
     bool want_stats = RunReport::global() != nullptr;
-    std::shared_ptr<ResultCache> cache;
+    std::unique_ptr<ResultCache> cache;
     if (!h.cacheDir.empty())
-        cache = std::make_shared<ResultCache>(h.cacheDir);
+        cache = std::make_unique<ResultCache>(h.cacheDir);
 
     std::vector<CellRef> cells;
     for (const StudyModel &m : models) {
@@ -722,85 +557,75 @@ runStudy(const StudyOptions &opt)
         }
     }
 
-    // Fan the cells out; collecting the futures in submission order
-    // keeps the row order (and hence the figure output) identical to
-    // the sequential loop. With a 1-job pool, submit() runs inline
-    // and this *is* the sequential loop. Cells restored from the
-    // cache become pre-resolved futures in the same sequence, so
-    // resumed and uninterrupted runs order rows identically.
     // Host-domain sweep telemetry: progress records into the metrics
     // JSONL and/or the live status line. Constructed only when either
     // consumer exists, so flag-free runs carry zero extra work.
     bool live = h.progress && !quiet() && isatty(STDERR_FILENO);
-    std::shared_ptr<SweepProgress> progress;
+    std::unique_ptr<SweepProgress> progress;
     if (live || MetricsSink::global())
-        progress = std::make_shared<SweepProgress>(cells.size(), live);
+        progress = std::make_unique<SweepProgress>(cells.size(), live);
 
-    std::vector<StudyRow> rows;
-    if (h.isolateCells) {
-        // Out-of-process sharding: one worker process per cell under
-        // the SweepSupervisor, so a crash costs exactly one cell.
-        rows = runStudyIsolated(cells, h, want_stats, cache,
-                                progress);
-    } else {
-        std::vector<std::future<StudyRow>> futs;
-        futs.reserve(cells.size());
-        for (const CellRef &cell : cells) {
-            StudyModel m = cell.m;
-            bool training = cell.training;
-            std::string key =
-                cache ? studyCellKey(m, training, want_stats)
-                      : std::string();
+    // Every finished cell - restored, simulated or failed, from either
+    // executor - lands here. Rows keep their cell's submission slot,
+    // so row order (and hence the figure output) never depends on
+    // scheduling. Executors call this from a pool thread or the
+    // supervisor loop, always for distinct cells.
+    std::vector<StudyRow> rows(cells.size());
+    auto settle = [&rows, &progress](size_t i, StudyRow row) {
+        if (progress) {
+            bool cached = row.status == CellStatus::Cached;
+            progress->cellDone(cached, row.status == CellStatus::Failed,
+                               cached ? 1 : row.attempts);
+        }
+        rows[i] = std::move(row);
+    };
 
-            if (cache && h.resume) {
-                if (std::optional<Json> v = cache->lookup(key)) {
-                    try {
-                        StudyRow row = studyRowFromJson(*v);
-                        row.status = CellStatus::Cached;
-                        inform("%s (%s) restored from cache",
-                               modelName(m.id),
-                               training ? "training" : "inference");
-                        std::promise<StudyRow> done;
-                        done.set_value(std::move(row));
-                        futs.push_back(done.get_future());
-                        if (progress)
-                            progress->cellDone(/*cached=*/true,
-                                               /*failed=*/false,
-                                               /*attempts=*/1);
-                        continue;
-                    } catch (const std::exception &e) {
-                        warn("result cache: entry for %s (%s) does "
-                             "not decode (%s); re-simulating",
-                             modelName(m.id),
-                             training ? "training" : "inference",
-                             e.what());
-                    }
+    // Resume pre-pass: cached cells never reach an executor. An entry
+    // that does not decode, or decodes to a failed row, is a miss.
+    std::vector<size_t> todo;
+    for (size_t i = 0; i < cells.size(); i++) {
+        const CellRef &c = cells[i];
+        std::optional<Json> v;
+        if (cache && h.resume)
+            v = cache->lookup(studyCellKey(c.m, c.training, want_stats));
+        if (v) {
+            try {
+                StudyRow row = studyRowFromJson(*v);
+                if (row.status != CellStatus::Failed) {
+                    row.status = CellStatus::Cached;
+                    inform("%s restored from cache",
+                           cellLabel(c.m, c.training).c_str());
+                    settle(i, std::move(row));
+                    continue;
                 }
+            } catch (const std::exception &e) {
+                warn("result cache: entry for %s does not decode (%s); "
+                     "re-simulating",
+                     cellLabel(c.m, c.training).c_str(), e.what());
             }
-            futs.push_back(pool.submit([m, training, key, cache,
-                                        progress, want_stats, &opt,
-                                        &h] {
-                StudyRow row = runStudyCellGuarded(m, training, opt,
-                                                   h, want_stats);
-                if (cache && row.status != CellStatus::Failed)
-                    cache->store(key, studyRowToJson(row));
-                if (progress)
-                    progress->cellDone(
-                        /*cached=*/false,
-                        row.status == CellStatus::Failed,
-                        row.attempts);
-                return row;
+        }
+        todo.push_back(i);
+    }
+
+    // The one place the executors differ: a worker process per cell
+    // (crash isolation, --isolate-cells) or a pool slot. With a 1-job
+    // pool, submit() runs inline and this is the sequential loop.
+    if (h.isolateCells) {
+        runCellsInWorkers(cells, todo, h, want_stats, settle);
+    } else {
+        std::vector<std::future<void>> futs;
+        futs.reserve(todo.size());
+        for (size_t i : todo) {
+            futs.push_back(pool.submit([&, i] {
+                settle(i, simulateAndStore(cells[i].m, cells[i].training,
+                                           opt, h, want_stats,
+                                           cache.get()));
             }));
         }
-        rows.reserve(futs.size());
-        for (std::future<StudyRow> &f : futs)
-            rows.push_back(f.get());
+        for (std::future<void> &f : futs)
+            f.get();
     }
-    // Clear the status line before the tables print: pool task
-    // objects may still hold copies of the reporter, so the
-    // destructor alone cannot be relied on to run here.
-    if (progress)
-        progress->finish();
+    // Clear the status line before the tables print.
     progress.reset();
 
     uint64_t cached = 0, failed = 0;
@@ -1008,59 +833,70 @@ maybeCrashForTest(const StudyModel &m, bool training)
     }
 }
 
-/** The parsed --worker-cell spec (see workerCellSpec()). */
-struct WorkerCell
-{
-    StudyModel m;
-    bool training = false;
-    bool wantStats = false;
-};
-
-WorkerCell
-parseWorkerCellSpec(const std::string &spec)
+/** Parse a JSON document, throwing on a syntax error. */
+Json
+parseJson(const std::string &text)
 {
     std::string err;
-    Json j = Json::parse(spec, &err);
-    fatal_if(!err.empty() || !j.isObject(),
-             "bad --worker-cell spec: %s",
-             err.empty() ? "not an object" : err.c_str());
-    const Json *schema = j.find("schema");
-    fatal_if(!schema || !schema->isString() ||
-                 schema->asString() != workerCellSchema,
-             "--worker-cell spec has the wrong schema");
-    const Json *model = j.find("model");
-    fatal_if(!model || !model->isObject(),
-             "--worker-cell spec: missing model");
-    auto num = [&](const char *key) {
-        const Json *v = model->find(key);
-        fatal_if(!v || !v->isNumber(),
-                 "--worker-cell spec: missing model.%s", key);
-        return v->asDouble();
-    };
-    WorkerCell wc;
-    long id = static_cast<long>(num("id"));
-    fatal_if(id < 0 || id >= numModels,
-             "--worker-cell spec: bad model id %ld", id);
-    wc.m.id = static_cast<ModelId>(id);
-    wc.m.trainBatch = static_cast<int>(num("trainBatch"));
-    wc.m.inferBatch = static_cast<int>(num("inferBatch"));
-    wc.m.imageSize = static_cast<int>(num("imageSize"));
-    wc.m.widthScale = num("widthScale");
-    const Json *training = j.find("training");
-    fatal_if(!training || !training->isBool(),
-             "--worker-cell spec: missing training");
-    wc.training = training->asBool();
-    const Json *stats = j.find("wantStats");
-    fatal_if(!stats || !stats->isBool(),
-             "--worker-cell spec: missing wantStats");
-    wc.wantStats = stats->asBool();
-    return wc;
+    Json j = Json::parse(text, &err);
+    if (!err.empty())
+        throw std::runtime_error(err);
+    return j;
 }
 
+/**
+ * Compute the one cell a --worker-cell spec names (see
+ * runCellsInWorkers()). The cell is rebuilt from the key, the fault
+ * injector is armed from it, and the key is then recomputed: a key
+ * this build would not produce (another schema, machine or policy
+ * set, or an unknown model) is fatal before any record is emitted.
+ */
 int
-runWorkerCell(const WorkerCell &wc, const StudyHarness &h)
+runWorkerCell(const std::string &spec_text)
 {
-    std::string cell = cellLabel(wc.m, wc.training);
+    std::string key;
+    StudyHarness h;
+    StudyModel m{};
+    bool training = false, want_stats = false;
+    try {
+        Json spec = parseJson(spec_text);
+        key = field(spec, "key", &Json::isString).asString();
+        h.cacheDir = field(spec, "cacheDir", &Json::isString).asString();
+        h.retries = static_cast<int>(
+            field(spec, "retries", &Json::isNumber).asInt());
+        setQuiet(field(spec, "quiet", &Json::isBool).asBool());
+
+        Json k = parseJson(key);
+        const Json &cell = field(k, "cell", &Json::isObject);
+        const std::string &model =
+            field(cell, "model", &Json::isString).asString();
+        int id = 0;
+        while (id < numModels &&
+               model != modelName(static_cast<ModelId>(id)))
+            id++;
+        if (id == numModels)
+            throw std::runtime_error("unknown model '" + model + "'");
+        m.id = static_cast<ModelId>(id);
+        auto num = [&cell](const char *name) {
+            return field(cell, name, &Json::isNumber).asDouble();
+        };
+        m.trainBatch = static_cast<int>(num("trainBatch"));
+        m.inferBatch = static_cast<int>(num("inferBatch"));
+        m.imageSize = static_cast<int>(num("imageSize"));
+        m.widthScale = num("widthScale");
+        training = field(cell, "training", &Json::isBool).asBool();
+        want_stats = field(cell, "stats", &Json::isBool).asBool();
+        FaultInjector::global().configure(
+            field(k, "faultSpec", &Json::isString).asString());
+    } catch (const std::exception &e) {
+        fatal("bad --worker-cell spec: %s", e.what());
+    }
+    std::string cell = cellLabel(m, training);
+    fatal_if(studyCellKey(m, training, want_stats) != key,
+             "--worker-cell key for %s is not this build's key "
+             "(schema, machine or policy set differ)",
+             cell.c_str());
+
     {
         Json r = Json::object();
         r["kind"] = "hello";
@@ -1069,21 +905,13 @@ runWorkerCell(const WorkerCell &wc, const StudyHarness &h)
         emitWorkerRecord(std::move(r));
     }
     WorkerHeartbeat heartbeat(cell);
-    maybeCrashForTest(wc.m, wc.training);
+    maybeCrashForTest(m, training);
 
-    StudyOptions opt;
-    opt.harness = &h;
-    StudyRow row =
-        runStudyCellGuarded(wc.m, wc.training, opt, h, wc.wantStats);
-
-    // The worker stores its own row: the cache is the data plane
-    // between workers and any later --resume, and a supervisor that
-    // dies after this point loses coordination, not results.
-    if (!h.cacheDir.empty() && row.status != CellStatus::Failed) {
-        ResultCache cache(h.cacheDir);
-        cache.store(studyCellKey(wc.m, wc.training, wc.wantStats),
-                    studyRowToJson(row));
-    }
+    std::unique_ptr<ResultCache> cache;
+    if (!h.cacheDir.empty())
+        cache = std::make_unique<ResultCache>(h.cacheDir);
+    StudyRow row = simulateAndStore(m, training, StudyOptions(), h,
+                                    want_stats, cache.get());
 
     Json r = Json::object();
     r["kind"] = "result";
@@ -1098,48 +926,13 @@ runWorkerCell(const WorkerCell &wc, const StudyHarness &h)
 void
 maybeRunWorkerCell(int argc, char **argv)
 {
-    bool found = false;
-    for (int i = 1; i < argc && !found; i++)
-        found = std::strcmp(argv[i], "--worker-cell") == 0 ||
-                std::strncmp(argv[i], "--worker-cell=", 14) == 0;
-    if (!found)
-        return;
-
-    // Workers parse their own (supervisor-built) argv instead of
-    // going through parseBenchArgs: no banner, no report/trace/
-    // metrics sinks, no atexit machinery - just the harness context
-    // that shapes a row.
-    std::string spec;
-    StudyHarness h;
-    for (int i = 1; i < argc; i++) {
-        const char *arg = argv[i];
-        const char *value = nullptr;
-        if (std::strcmp(arg, "--quiet") == 0 ||
-            std::strcmp(arg, "-q") == 0) {
-            setQuiet(true);
-        } else if (valueArg(argc, argv, i, "--worker-cell", nullptr,
-                            &value)) {
-            spec = value;
-        } else if (valueArg(argc, argv, i, "--cache", nullptr,
-                            &value)) {
-            h.cacheDir = value;
-        } else if (valueArg(argc, argv, i, "--retries", nullptr,
-                            &value)) {
-            h.retries = static_cast<int>(
-                intValue("--retries", value, 0, 100));
-        } else if (valueArg(argc, argv, i, "--cell-timeout", nullptr,
-                            &value)) {
-            h.cellTimeoutSec = secondsValue("--cell-timeout", value);
-        } else if (valueArg(argc, argv, i, "--fault-spec", nullptr,
-                            &value)) {
-            h.faultSpec = value;
-            FaultInjector::global().configure(value);
-        } else {
-            fatal("unknown worker argument '%s'", arg);
-        }
-    }
-    fatal_if(spec.empty(), "--worker-cell needs a spec");
-    std::exit(runWorkerCell(parseWorkerCellSpec(spec), h));
+    // Workers read nothing but their spec: no banner, no report/
+    // trace/metrics sinks, no atexit machinery.
+    const char *spec = nullptr;
+    for (int i = 1; i < argc && !spec; i++)
+        valueArg(argc, argv, i, "--worker-cell", nullptr, &spec);
+    if (spec)
+        std::exit(runWorkerCell(spec));
 }
 
 void
@@ -1166,11 +959,10 @@ parseBenchArgs(int argc, char **argv, const std::string &title)
                 "       [--metrics PATH] [--metrics-interval N] "
                 "[--progress]\n"
                 "       [--cache DIR] [--resume] [--retries N] "
-                "[--cell-timeout S]\n"
-                "       [--fail-budget N] [--isolate-cells] "
-                "[--workers N]\n"
-                "       [--hard-timeout S] [--heartbeat-timeout S]"
-                "\n\n"
+                "[--fail-budget N]\n"
+                "       [--isolate-cells] [--workers N] "
+                "[--hard-timeout S]\n"
+                "       [--heartbeat-timeout S]\n\n"
                 "  --jobs N, -j N    run N study cells in parallel "
                 "(default: ZCOMP_JOBS\n"
                 "                    or the hardware thread count; "
@@ -1205,10 +997,6 @@ parseBenchArgs(int argc, char **argv, const std::string &title)
                 "bitwise-identical)\n"
                 "  --retries N       retry a faulting cell N times "
                 "with backoff\n"
-                "  --cell-timeout S  per-attempt budget in seconds "
-                "(fractional ok;\n"
-                "                    checked at cell phase "
-                "boundaries)\n"
                 "  --fail-budget N   tolerate up to N failed cells "
                 "before exiting\n"
                 "                    non-zero (default 0)\n"
@@ -1275,11 +1063,7 @@ parseBenchArgs(int argc, char **argv, const std::string &title)
                 intValue("--fail-budget", value, 0, 1000000));
         } else if (valueArg(argc, argv, i, "--fault-spec", nullptr,
                             &value)) {
-            h.faultSpec = value;
             FaultInjector::global().configure(value);
-        } else if (valueArg(argc, argv, i, "--cell-timeout", nullptr,
-                            &value)) {
-            h.cellTimeoutSec = secondsValue("--cell-timeout", value);
         } else if (std::strcmp(arg, "--isolate-cells") == 0) {
             h.isolateCells = true;
         } else if (valueArg(argc, argv, i, "--workers", nullptr,
@@ -1310,8 +1094,7 @@ parseBenchArgs(int argc, char **argv, const std::string &title)
              "parallelism is --jobs)");
     fatal_if((hard_timeout_set || heartbeat_set) && !h.isolateCells,
              "--hard-timeout/--heartbeat-timeout need "
-             "--isolate-cells (the in-process budget is "
-             "--cell-timeout)");
+             "--isolate-cells");
 
     // Install the process-wide report/trace sinks before any work
     // runs, and flush them at exit so every bench main gets both

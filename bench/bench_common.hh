@@ -20,10 +20,17 @@
  *    the cell parameters and a code-schema version, and --resume
  *    restores those cells with bitwise-identical rows instead of
  *    re-simulating them;
- *  - a cell that throws or overruns --cell-timeout is retried up to
- *    --retries times with exponential backoff and then recorded as a
- *    failed row instead of killing the whole sweep; the process only
- *    exits non-zero once more than --fail-budget cells have failed.
+ *  - a cell that throws is retried up to --retries times with
+ *    exponential backoff and then recorded as a failed row instead of
+ *    killing the whole sweep; the process only exits non-zero once
+ *    more than --fail-budget cells have failed;
+ *  - under --isolate-cells every cell runs in its own worker process,
+ *    so a cell that crashes or hangs (bounded by --hard-timeout)
+ *    costs exactly itself.
+ *
+ * Both executors - a pool slot and a worker process - share one
+ * resume pre-pass, one simulate-and-store step, one row decoder and
+ * one tail for progress, the report and the fail budget.
  */
 
 #ifndef ZCOMP_BENCH_BENCH_COMMON_HH
@@ -84,7 +91,7 @@ enum class CellStatus
 {
     Simulated,  //!< freshly simulated in this process
     Cached,     //!< restored from the --cache result cache
-    Failed,     //!< all attempts threw or timed out
+    Failed,     //!< all attempts threw, or the worker process died
 };
 
 /**
@@ -149,11 +156,13 @@ struct StudyRow
 Json studyRowToJson(const StudyRow &row);
 
 /**
- * Rebuild a successful StudyRow from its studyRowToJson() form.
- * Round-trips exactly (doubles print with full precision, integers
- * verbatim), so a cached row re-serializes byte-identically. Throws
- * std::runtime_error on missing/mistyped fields or failed rows, so
- * corrupt cache entries degrade to a re-simulation.
+ * Rebuild a StudyRow from its studyRowToJson() form. Round-trips
+ * exactly (doubles print with full precision, integers verbatim), so
+ * a cached row re-serializes byte-identically. The compact failed
+ * form { model, mode, failed, error, attempts } decodes to a
+ * CellStatus::Failed row. Throws std::runtime_error on missing or
+ * mistyped fields, so corrupt cache entries degrade to a
+ * re-simulation.
  */
 StudyRow studyRowFromJson(const Json &j);
 
@@ -177,7 +186,7 @@ std::string studyCellKey(const StudyModel &m, bool training,
 
 /**
  * Resilience knobs of the study runner, normally filled in from the
- * CLI (--cache/--resume/--retries/--cell-timeout/--fail-budget) via
+ * CLI (--cache/--resume/--retries/--fail-budget/--isolate-cells) via
  * parseBenchArgs(). Tests construct their own and point
  * StudyOptions::harness at it.
  */
@@ -186,7 +195,6 @@ struct StudyHarness
     std::string cacheDir;       //!< empty = no result cache
     bool resume = false;        //!< restore cached cells (needs cacheDir)
     int retries = 0;            //!< extra attempts after a cell fault
-    double cellTimeoutSec = 0;  //!< per-attempt budget; 0 = unlimited
     int failBudget = 0;         //!< failed cells tolerated before exit(1)
     int backoffMillis = 50;     //!< base retry backoff (doubles per retry)
     bool progress = false;      //!< live sweep status line (--progress)
@@ -195,18 +203,12 @@ struct StudyHarness
     bool isolateCells = false;  //!< one worker process per cell
     int workers = 2;            //!< concurrent worker processes
     /** Per-cell wall-clock *hard* deadline enforced by SIGKILL from
-     *  the supervisor; 0 = none. Unlike --cell-timeout this catches
-     *  cells that SIGSEGV'd into a handler, deadlocked or spin. */
+     *  the supervisor; 0 = none. Catches cells that SIGSEGV'd into a
+     *  handler, deadlocked or spin. */
     double hardTimeoutSec = 0;
     /** Max seconds of worker status-channel silence before the
      *  supervisor declares it hung and SIGKILLs it; 0 = none. */
     double heartbeatTimeoutSec = 30;
-    /** The --fault-spec string verbatim, re-armed in every worker so
-     *  isolated and in-process sweeps inject identically. */
-    std::string faultSpec;
-    /** Worker re-invocation argv; empty = /proc/self/exe plus the
-     *  harness flags above (tests override to add their own). */
-    std::vector<std::string> workerArgv;
 };
 
 /** The process-wide harness knobs parseBenchArgs() populates. */
@@ -227,8 +229,7 @@ struct StudyOptions
      * Test hook, invoked at the start of every cell attempt (before
      * any simulation work). A throw from the hook is treated exactly
      * like a cell fault: retried per the harness, then recorded as a
-     * failed row. A hook that sleeps past the cell timeout exercises
-     * the timeout path.
+     * failed row.
      */
     std::function<void(const StudyModel &m, bool training, int attempt)>
         faultHook;
@@ -266,7 +267,6 @@ std::vector<StudyRow> runFullStudy(bool training_only = false,
  *   --cache DIR        record completed study cells on disk
  *   --resume           restore cached cells instead of re-simulating
  *   --retries N        retry a faulting cell N times (backoff)
- *   --cell-timeout S   per-attempt budget in seconds (fractional ok)
  *   --fail-budget N    tolerate up to N failed cells (default 0)
  *   --fault-spec SPEC  arm deterministic fault injection
  *                      (site:prob[:seed[:max]][,...]; common/fault.hh)
@@ -300,8 +300,14 @@ void parseBenchArgs(int argc, char **argv, const std::string &title);
  * hidden `--worker-cell <spec>` flag this computes exactly that one
  * study cell, speaking the supervisor's JSONL protocol on stdout
  * (hello / heartbeat / result records, schema zcomp-worker-v1),
- * stores the row into --cache when given one, and never returns
- * (std::exit). Without the flag it is a no-op.
+ * stores the row into the cache dir when given one, and never
+ * returns (std::exit). Without the flag it is a no-op.
+ *
+ * The spec is a JSON object { key, cacheDir, retries, quiet }: key is
+ * the cell's studyCellKey() string, from which the worker rebuilds
+ * the StudyModel and arms the fault injector (key.faultSpec). A key
+ * this build would not compute - unknown model, other schema, machine
+ * or policy set - is fatal before any record is written.
  *
  * parseBenchArgs() calls this first, so every bench binary doubles
  * as its own worker; test binaries with a custom main() call it

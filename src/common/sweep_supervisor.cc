@@ -202,7 +202,7 @@ SweepSupervisor::finishWorker(WorkerSlot &w,
                 other.proc->kill();
         }
         if (opt_.onCellDone)
-            opt_.onCellDone(cs.result);
+            opt_.onCellDone(w.cellIdx, cs.result);
         return;
     }
 
@@ -257,7 +257,7 @@ SweepSupervisor::finishWorker(WorkerSlot &w,
     cs.result.signalName = cs.lastSignal;
     cs.result.attempts = cs.attempts;
     if (opt_.onCellDone)
-        opt_.onCellDone(cs.result);
+        opt_.onCellDone(w.cellIdx, cs.result);
 }
 
 std::vector<SweepCellResult>

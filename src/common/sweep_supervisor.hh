@@ -4,11 +4,10 @@
  * cells (--isolate-cells / --workers N).
  *
  * The in-process study runner is resilient only to *exceptions*:
- * --retries / --cell-timeout / --fail-budget all assume the cell
- * unwinds cooperatively, and the Deadline in bench_common.cc is
- * checked at phase boundaries - a cell that SIGSEGVs, deadlocks or
- * spins never reaches a check and takes the whole sweep (and every
- * in-flight result) with it. The supervisor closes that gap by
+ * --retries / --fail-budget both assume the cell unwinds
+ * cooperatively - a cell that SIGSEGVs, deadlocks or spins takes the
+ * whole sweep (and every in-flight result) with it, and nothing
+ * in-process can bound its wall time. The supervisor closes that gap by
  * running each cell in its own worker process, so the blast radius
  * of any failure is exactly one cell:
  *
@@ -24,7 +23,7 @@
  *  - Hard deadlines: every worker is monitored against a wall-clock
  *    hard timeout and a heartbeat-silence timeout. A hung or crashed
  *    cell is SIGKILLed and recorded as a typed failed row carrying
- *    the signal name - enforcement the cooperative Deadline cannot
+ *    the signal name - enforcement no in-process check can
  *    provide.
  *  - Restart with backoff: after a crash the next spawn is delayed
  *    by a doubling backoff (reset on any clean exit), so a broken
@@ -109,8 +108,9 @@ struct SweepSupervisorOptions {
     bool workStealing = true;
     /** A cell must run at least this long before it is stolen. */
     int stealAfterMillis = 500;
-    /** Invoked once per finished cell, in completion order. */
-    std::function<void(const SweepCellResult &)> onCellDone;
+    /** Invoked once per finished cell (with its input index), in
+     *  completion order. */
+    std::function<void(size_t, const SweepCellResult &)> onCellDone;
 };
 
 class SweepSupervisor

@@ -127,6 +127,26 @@ TEST(Fault, SpecCanonicalForm)
     EXPECT_EQ(fi.spec(), "kernel.transient:1:7:2,zcomp.header:0.5");
 }
 
+/** configure(spec()) is the identity on the canonical form, and the
+ *  re-armed injector decides exactly like the original: an isolated
+ *  worker arms itself from the spec carried in its cell key. */
+TEST(Fault, SpecRoundTripsThroughConfigure)
+{
+    FaultInjector fi;
+    fi.configure("zcomp.header:0.1:42:3,kernel.transient:0.3");
+    FaultInjector again;
+    again.configure(fi.spec());
+    EXPECT_EQ(again.spec(), fi.spec());
+    EXPECT_EQ(fi.spec(), "kernel.transient:0.3,zcomp.header:0.1:42:3");
+    for (int i = 0; i < 200; i++) {
+        EXPECT_EQ(again.shouldInject(faultsite::ZcompHeader),
+                  fi.shouldInject(faultsite::ZcompHeader));
+        EXPECT_EQ(again.shouldInject(faultsite::KernelTransient),
+                  fi.shouldInject(faultsite::KernelTransient));
+    }
+    EXPECT_EQ(fi.injected(faultsite::ZcompHeader), 3u);
+}
+
 TEST(Fault, MultiSiteSpecArmsEachSite)
 {
     FaultInjector fi;

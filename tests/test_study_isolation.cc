@@ -1,11 +1,12 @@
 /** @file End-to-end tests for --isolate-cells: the real study runner
  *  sharded across worker processes (this very binary, re-invoked via
  *  the hidden --worker-cell flag). Covers row byte-identity against
- *  the in-process path, the SIGSEGV/SIGKILL crash matrix with
- *  byte-identical --resume healing, hard-timeout reaping of a
- *  spinning cell, and tear-free worker output under a sticky status
- *  line. Process-level supervisor mechanics (deadlines, stealing,
- *  backoff) are unit-tested in test_sweep_supervisor.cc. */
+ *  the in-process path (also under a fault spec), progress retry
+ *  counts, worker rejection of foreign cell keys, the SIGSEGV/SIGKILL
+ *  crash matrix with byte-identical --resume healing, hard-timeout
+ *  reaping of a spinning cell, and tear-free worker output under a
+ *  sticky status line. Process-level supervisor mechanics (deadlines,
+ *  stealing, backoff) are unit-tested in test_sweep_supervisor.cc. */
 
 #include "bench/bench_common.hh"
 
@@ -15,11 +16,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/fault.hh"
 #include "common/log.hh"
+#include "common/metrics.hh"
 #include "common/subprocess.hh"
 
 using namespace zcomp;
@@ -105,25 +110,195 @@ class ScopedDir
 /**
  * The determinism half of DESIGN.md section 4.11: sharding cells
  * across worker processes must yield rows byte-identical (modulo
- * wall-clock) to the in-process pool path.
+ * wall-clock) to the in-process pool path - fault-free, and under a
+ * capped fault spec with retries, which reaches the workers only
+ * through their cell key. The faulted input sweeps one cell, so both
+ * executors see exactly one injection (each worker process has its
+ * own injector, and with it its own cap).
  */
 TEST(StudyIsolation, IsolatedRowsMatchInProcessRowsExactly)
 {
-    StudyOptions opt = quickOptions();
-    ThreadPool seq(1);
-    opt.pool = &seq;
-    std::vector<StudyRow> inproc = runQuiet(opt);
+    struct Input
+    {
+        const char *faultSpec;
+        int retries;
+        bool trainingOnly;
+    };
+    for (const Input &in : {Input{"", 0, false},
+                            Input{"kernel.transient:1:7:1", 1, true}}) {
+        SCOPED_TRACE(in.faultSpec);
+        StudyOptions opt = quickOptions();
+        opt.trainingOnly = in.trainingOnly;
+        ThreadPool seq(1);
+        opt.pool = &seq;
+        StudyHarness pooled;
+        pooled.retries = in.retries;
+        pooled.backoffMillis = 1;
+        opt.harness = &pooled;
+        FaultInjector::global().configure(in.faultSpec);
+        std::vector<StudyRow> inproc = runQuiet(opt);
 
-    StudyHarness h = isolatedHarness(2);
-    opt.harness = &h;
-    std::vector<StudyRow> isolated = runQuiet(opt);
+        StudyHarness h = isolatedHarness(2);
+        h.retries = in.retries;
+        opt.harness = &h;
+        std::vector<StudyRow> isolated = runQuiet(opt);
+        FaultInjector::global().reset();
 
-    ASSERT_EQ(inproc.size(), 2u);
-    ASSERT_EQ(isolated.size(), inproc.size());
-    for (size_t i = 0; i < inproc.size(); i++) {
-        EXPECT_EQ(isolated[i].status, CellStatus::Simulated);
-        EXPECT_EQ(canonRow(isolated[i]), canonRow(inproc[i]))
-            << "row " << i;
+        ASSERT_EQ(inproc.size(), in.trainingOnly ? 1u : 2u);
+        ASSERT_EQ(isolated.size(), inproc.size());
+        for (size_t i = 0; i < inproc.size(); i++) {
+            EXPECT_EQ(isolated[i].status, CellStatus::Simulated);
+            EXPECT_EQ(isolated[i].attempts, 1 + in.retries);
+            EXPECT_EQ(canonRow(isolated[i]), canonRow(inproc[i]))
+                << "row " << i;
+        }
+    }
+}
+
+/**
+ * Both executors count a cell as retried in the sweep progress from
+ * the row's own attempts: the final progress record's "retried" is
+ * the number of rows with attempts > 1. (Worker processes launched
+ * for a cell - a work-stolen straggler - are not retries.)
+ */
+TEST(StudyIsolation, ProgressRetriedMatchesRetriedRows)
+{
+    for (bool isolate : {false, true}) {
+        SCOPED_TRACE(isolate ? "isolated" : "in-process");
+        std::string path = std::string("study_isolation_progress_") +
+                           (isolate ? "iso" : "pool") + ".jsonl";
+        fs::remove(path);
+        StudyOptions opt = quickOptions();
+        ThreadPool seq(1);
+        opt.pool = &seq;
+        StudyHarness h = isolate ? isolatedHarness(2) : StudyHarness();
+        h.retries = 1;
+        h.backoffMillis = 1;
+        opt.harness = &h;
+        FaultInjector::global().configure("kernel.transient:1:7:1");
+        MetricsSink::enableGlobal(path, 1e12);
+        std::vector<StudyRow> rows = runQuiet(opt);
+        MetricsSink::finishGlobal();
+        FaultInjector::global().reset();
+
+        uint64_t retried_rows = 0;
+        for (const StudyRow &row : rows)
+            retried_rows += row.attempts > 1;
+        // In-process the cap is shared (one retried row); each worker
+        // process has its own cap (every row retried).
+        EXPECT_EQ(retried_rows, isolate ? rows.size() : 1u);
+
+        std::ifstream in(path);
+        Json last;
+        for (std::string line; std::getline(in, line);) {
+            std::string err;
+            Json rec = Json::parse(line, &err);
+            ASSERT_EQ(err, "") << line;
+            const Json *kind = rec.find("kind");
+            if (kind && kind->asString() == "progress")
+                last = rec;
+        }
+        ASSERT_TRUE(last.isObject()) << "no progress record";
+        EXPECT_EQ(last.find("done")->asUint(), rows.size());
+        EXPECT_EQ(last.find("retried")->asUint(), retried_rows);
+        fs::remove(path);
+    }
+}
+
+namespace {
+
+/** Run this binary as a worker on one --worker-cell spec. */
+struct WorkerRun
+{
+    ExitStatus status;
+    bool result = false;   //!< a "result" record reached stdout
+    std::string stderrText;
+};
+
+WorkerRun
+runWorker(const std::string &key)
+{
+    Json spec = Json::object();
+    spec["key"] = key;
+    spec["cacheDir"] = "";
+    spec["retries"] = 0;
+    spec["quiet"] = true;
+    Subprocess::Options sopt;
+    sopt.argv = {"/proc/self/exe", "--worker-cell", spec.dump()};
+    Subprocess p(sopt);
+    LineReader out(p.stdoutFd()), err(p.stderrFd());
+    std::vector<std::string> out_lines, err_lines;
+    // Drain both pipes every round (non-short-circuit |), so neither
+    // can fill up while the other is being read to EOF.
+    while (out.poll(out_lines) | err.poll(err_lines))
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    while (!p.poll())
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    WorkerRun run;
+    run.status = p.status();
+    for (const std::string &line : out_lines)
+        run.result |= line.find("\"kind\":\"result\"") !=
+                      std::string::npos;
+    for (const std::string &line : err_lines)
+        run.stderrText += line + "\n";
+    return run;
+}
+
+/** studyCellKey() of the quick inference cell, edited by @p edit. */
+std::string
+editedKey(const std::function<void(Json &)> &edit)
+{
+    std::string err;
+    Json key = Json::parse(
+        studyCellKey(quickOptions().models[0], false, false), &err);
+    edit(key);
+    return key.dump();
+}
+
+} // namespace
+
+/**
+ * The worker spec is the cell key: a worker handed a key this build
+ * would not compute exits non-zero before reporting any result,
+ * rather than simulating a cell the supervisor did not ask for.
+ */
+TEST(StudyIsolation, WorkerRejectsForeignCellKeys)
+{
+    // Control: the unedited key computes its cell.
+    WorkerRun ok = runWorker(editedKey([](Json &) {}));
+    EXPECT_TRUE(ok.status.ok()) << ok.stderrText;
+    EXPECT_TRUE(ok.result);
+
+    struct Case
+    {
+        const char *what;
+        std::function<void(Json &)> edit;
+        const char *message;
+    };
+    std::vector<Case> cases = {
+        {"unknown model",
+         [](Json &k) { k["cell"]["model"] = "no-such-net"; },
+         "unknown model 'no-such-net'"},
+        {"other schema",
+         [](Json &k) { k["schema"] = "zcomp-study-cell-v0"; },
+         "not this build's key"},
+        {"other policies",
+         [](Json &k) {
+             Json pols = Json::array();
+             pols.push("uncompressed");
+             pols.push("zcomp");
+             k["policies"] = std::move(pols);
+         },
+         "not this build's key"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        WorkerRun run = runWorker(editedKey(c.edit));
+        EXPECT_FALSE(run.status.ok()) << run.status.describe();
+        EXPECT_FALSE(run.status.signaled()) << run.status.describe();
+        EXPECT_FALSE(run.result);
+        EXPECT_NE(run.stderrText.find(c.message), std::string::npos)
+            << run.stderrText;
     }
 }
 

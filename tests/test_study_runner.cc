@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 
 #include "cachecomp/cache_model.hh"
 #include "common/error.hh"
@@ -307,30 +305,6 @@ TEST(StudyRunner, FaultSpecIsPartOfCellKey)
     FaultInjector::global().reset();
     EXPECT_NE(clean, faulted);
     EXPECT_EQ(clean, studyCellKey(opt.models[0], true, false));
-}
-
-/** An attempt that overruns --cell-timeout is recorded as failed. */
-TEST(StudyRunner, CellTimeout)
-{
-    setQuiet(true);
-    ThreadPool seq(1);
-    StudyHarness h;
-    h.cellTimeoutSec = 0.02;
-    h.failBudget = 1;
-    StudyOptions opt = quickOptions();
-    opt.inferenceOnly = true;
-    opt.pool = &seq;
-    opt.harness = &h;
-    opt.faultHook = [](const StudyModel &, bool, int) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    };
-    auto rows = runStudy(opt);
-    setQuiet(false);
-
-    ASSERT_EQ(rows.size(), 1u);
-    EXPECT_EQ(rows[0].status, CellStatus::Failed);
-    EXPECT_NE(rows[0].error.find("timed out"), std::string::npos)
-        << rows[0].error;
 }
 
 /** Successful study rows round-trip through JSON byte-identically. */

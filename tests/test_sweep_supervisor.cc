@@ -75,7 +75,9 @@ TEST(SweepSupervisor, CrashedCellIsIsolatedAndTyped)
                          okScript;
     SweepSupervisorOptions opt = fakeWorker(script, 2);
     int done_calls = 0;
-    opt.onCellDone = [&](const SweepCellResult &) { done_calls++; };
+    opt.onCellDone = [&](size_t, const SweepCellResult &) {
+        done_calls++;
+    };
     SweepSupervisor sup(opt);
     std::vector<SweepCellResult> results =
         sup.run(cellsNamed({"a", "boom", "c"}));
