@@ -248,27 +248,6 @@ dotPanel16F32Avx2(const float *a, const float *bt, size_t plen,
     _mm256_storeu_ps(acc + 8, hi);
 }
 
-__attribute__((target("avx2")))
-int
-findTag64Avx2(const uint64_t *tags, int n, uint64_t needle)
-{
-    const __m256i nv = _mm256_set1_epi64x(static_cast<long long>(needle));
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i t = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + i));
-        const uint32_t eq = static_cast<uint32_t>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(t, nv))));
-        if (eq)
-            return i + __builtin_ctz(eq);
-    }
-    for (; i < n; i++) {
-        if (tags[i] == needle)
-            return i;
-    }
-    return -1;
-}
-
 // -------------------------------------------------------------- AVX512
 
 #define ZCOMP_AVX512_TARGET "avx512f,avx512bw,avx512vl,avx512dq"
@@ -463,29 +442,6 @@ dotPanel16F32Avx512(const float *a, const float *bt, size_t plen,
     _mm512_storeu_ps(acc, s);
 }
 
-__attribute__((target(ZCOMP_AVX512_TARGET)))
-int
-findTag64Avx512(const uint64_t *tags, int n, uint64_t needle)
-{
-    const __m512i nv = _mm512_set1_epi64(static_cast<long long>(needle));
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __mmask8 eq = _mm512_cmpeq_epu64_mask(
-            _mm512_loadu_si512(tags + i), nv);
-        if (eq)
-            return i + __builtin_ctz(static_cast<uint32_t>(eq));
-    }
-    if (i < n) {
-        const __mmask8 m =
-            static_cast<__mmask8>((1u << (n - i)) - 1u);
-        const __mmask8 eq = _mm512_mask_cmpeq_epu64_mask(
-            m, _mm512_maskz_loadu_epi64(m, tags + i), nv);
-        if (eq)
-            return i + __builtin_ctz(static_cast<uint32_t>(eq));
-    }
-    return -1;
-}
-
 #endif // ZCOMP_SIMD_X86
 
 std::atomic<int> g_backend{-1};
@@ -511,50 +467,7 @@ resolveBackend()
     return req;
 }
 
-/**
- * First-use trampoline for the findTag64 hot pointer: resolve the
- * backend (installing the real kernel pointer or null-for-scalar),
- * then answer this one probe with the scalar loop — identical result,
- * and every later call goes straight to the installed target.
- */
-int
-findTag64Resolve(const uint64_t *tags, int n, uint64_t needle)
-{
-    activeBackend();
-    detail::FindTag64Fn fn =
-        detail::findTag64Fn.load(std::memory_order_relaxed);
-    ZCOMP_DCHECK(fn != findTag64Resolve,
-                 "findTag64 trampoline failed to re-point itself");
-    if (fn)
-        return fn(tags, n, needle);
-    for (int w = 0; w < n; w++) {
-        if (tags[w] == needle)
-            return w;
-    }
-    return -1;
-}
-
-/** Keep the findTag64 hot pointer in sync with the backend. */
-void
-syncFindTag64(Backend b)
-{
-    detail::FindTag64Fn fn = nullptr;
-#if ZCOMP_SIMD_X86
-    if (b == Backend::Avx512)
-        fn = findTag64Avx512;
-    else if (b == Backend::Avx2)
-        fn = findTag64Avx2;
-#else
-    (void)b;
-#endif
-    detail::findTag64Fn.store(fn, std::memory_order_relaxed);
-}
-
 } // namespace
-
-namespace detail {
-std::atomic<FindTag64Fn> findTag64Fn{findTag64Resolve};
-} // namespace detail
 
 const char *
 backendName(Backend b)
@@ -611,7 +524,6 @@ activeBackend()
         int expected = -1;
         g_backend.compare_exchange_strong(expected, resolved);
         b = g_backend.load(std::memory_order_relaxed);
-        syncFindTag64(static_cast<Backend>(b));
     }
     return static_cast<Backend>(b);
 }
@@ -623,7 +535,6 @@ setBackend(Backend b)
                 "SIMD backend %s not supported on this host",
                 backendName(b));
     g_backend.store(static_cast<int>(b), std::memory_order_relaxed);
-    syncFindTag64(b);
 }
 
 bool

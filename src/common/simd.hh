@@ -25,7 +25,6 @@
 #ifndef ZCOMP_COMMON_SIMD_HH
 #define ZCOMP_COMMON_SIMD_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -72,38 +71,6 @@ bool parseBackend(const char *name, Backend &out);
 // Kernels. All return whether the active backend handled the request;
 // on `false` the caller must run its scalar reference loop.
 // ---------------------------------------------------------------------
-
-namespace detail {
-
-/**
- * Hot-path dispatch pointer for findTag64. The cache model issues
- * billions of tag probes per sweep, so this one kernel dispatches
- * through a pointer kept in sync by setBackend()/activeBackend()
- * instead of a per-call backend switch. It starts on a trampoline
- * that resolves ZCOMP_SIMD on first use; null means scalar (caller
- * runs its reference loop).
- */
-using FindTag64Fn = int (*)(const uint64_t *tags, int n,
-                            uint64_t needle);
-extern std::atomic<FindTag64Fn> findTag64Fn;
-
-} // namespace detail
-
-/**
- * Find the index in [0, n) whose 64-bit tag equals `needle`, or -1.
- * Requires the caller to guarantee at most one match (cache sets hold
- * unique tags), which makes the result backend-independent.
- */
-inline bool
-findTag64(const uint64_t *tags, int n, uint64_t needle, int &way)
-{
-    detail::FindTag64Fn fn =
-        detail::findTag64Fn.load(std::memory_order_relaxed);
-    if (!fn)
-        return false;
-    way = fn(tags, n, needle);
-    return true;
-}
 
 /**
  * Compute the zcomps keep-header of a 64-byte vector of `elemBytes`-

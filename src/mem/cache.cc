@@ -2,7 +2,6 @@
 
 #include "common/check.hh"
 #include "common/log.hh"
-#include "common/simd.hh"
 
 namespace zcomp {
 
@@ -23,113 +22,141 @@ Cache::Cache(std::string name, const CacheConfig &cfg, bool directory)
     repl_ = ReplacementPolicy::create(cfg.repl, numSets_, assoc_);
 }
 
-CacheVictim
-Cache::insert(Addr line, bool dirty, bool is_prefetch, double ready_at)
+size_t
+Cache::resident(const CacheSlot &slot) const
 {
-    int set = setIndex(line);
-    size_t base = static_cast<size_t>(set) * assoc_;
+    ZCOMP_DCHECK(slot.hit(), "cache %s: slot operation on a miss",
+                 name_.c_str());
+    size_t idx = static_cast<size_t>(slot.set) * assoc_ + slot.way;
+    ZCOMP_DCHECK(tags_[idx] == slot.line,
+                 "cache %s: stale slot for line 0x%llx", name_.c_str(),
+                 static_cast<unsigned long long>(slot.line));
+    return idx;
+}
 
-    // Refresh in place if the line is already resident (e.g. a demand
-    // fill racing a prefetch fill).
-    int way = findWay(set, line);
+bool
+Cache::demand(const CacheSlot &slot, bool is_write)
+{
+    if (!slot.hit()) {
+        counters_.misses++;
+        return false;
+    }
+    counters_.hits++;
+    Line &l = lines_[resident(slot)];
+    if (l.prefetched) {
+        counters_.prefetchUseful++;
+        l.prefetched = false;
+    }
+    if (is_write)
+        l.dirty = true;
+    repl_->onHit(slot.set, slot.way);
+    return true;
+}
+
+CacheVictim
+Cache::fill(CacheSlot &slot, bool dirty, bool is_prefetch, double ready_at)
+{
     CacheVictim victim;
-    if (way < 0) {
-        // Prefer the first invalid way (an empty way carries the
-        // sentinel tag, so this is just another tag probe).
-        if (!simd::findTag64(tags_.data() + base, assoc_, kInvalidTag,
-                             way)) {
-            way = -1;
-            for (int w = 0; w < assoc_; w++) {
-                if (tags_[base + w] == kInvalidTag) {
-                    way = w;
-                    break;
-                }
-            }
-        }
-        if (way < 0) {
-            way = repl_->victim(set);
-            ZCOMP_DCHECK(way >= 0 && way < assoc_,
-                         "cache %s: replacement chose bad way %d",
-                         name_.c_str(), way);
-            Line &v = lines_[base + way];
-            victim.valid = true;
-            victim.dirty = v.dirty;
-            victim.wasPrefetch = v.prefetched;
-            victim.addr = tags_[base + way];
-            victim.presence = v.presence;
-            evictions++;
-            if (v.dirty)
-                writebacks++;
-            if (v.prefetched)
-                prefetchUnused++;
-        }
-        Line &l = lines_[base + way];
-        tags_[base + way] = line;
-        l.dirty = dirty;
-        l.prefetched = is_prefetch;
-        l.presence = 0;
-        l.readyAt = ready_at;
-        repl_->onInsert(set, way);
-        if (is_prefetch)
-            prefetchFills++;
-    } else {
-        Line &l = lines_[base + way];
+    if (slot.hit()) {
+        // Refresh in place (e.g. a demand fill racing a prefetch fill).
+        Line &l = lines_[resident(slot)];
         l.dirty = l.dirty || dirty;
         if (!is_prefetch && l.prefetched) {
-            prefetchUseful++;
+            counters_.prefetchUseful++;
             l.prefetched = false;
         }
+        return victim;
     }
-    // Fill postconditions: the line is resident, and any victim left
-    // its set for good (it cannot be the line just inserted).
-    ZCOMP_DCHECK(contains(line), "cache %s: inserted line not resident",
-                 name_.c_str());
-    ZCOMP_DCHECK(!victim.valid || victim.addr != line,
+    ZCOMP_DCHECK(findWay(slot.set, slot.line) < 0,
+                 "cache %s: stale miss slot, line 0x%llx is resident",
+                 name_.c_str(), static_cast<unsigned long long>(slot.line));
+
+    // Prefer the first empty way (it carries the sentinel tag, so this
+    // is just another tag scan), else evict the replacement victim.
+    size_t base = static_cast<size_t>(slot.set) * assoc_;
+    int way = findWay(slot.set, kInvalidTag);
+    if (way < 0) {
+        way = repl_->victim(slot.set);
+        ZCOMP_DCHECK(way >= 0 && way < assoc_,
+                     "cache %s: replacement chose bad way %d",
+                     name_.c_str(), way);
+        Line &v = lines_[base + way];
+        victim.valid = true;
+        victim.dirty = v.dirty;
+        victim.wasPrefetch = v.prefetched;
+        victim.addr = tags_[base + way];
+        victim.presence = v.presence;
+        counters_.evictions++;
+        if (v.dirty)
+            counters_.writebacks++;
+        if (v.prefetched)
+            counters_.prefetchUnused++;
+    }
+    Line &l = lines_[base + way];
+    tags_[base + way] = slot.line;
+    l.dirty = dirty;
+    l.prefetched = is_prefetch;
+    l.presence = 0;
+    l.readyAt = ready_at;
+    repl_->onInsert(slot.set, way);
+    if (is_prefetch)
+        counters_.prefetchFills++;
+    slot.way = way;
+    // The victim left its set for good: it cannot be the filled line.
+    ZCOMP_DCHECK(!victim.valid || victim.addr != slot.line,
                  "cache %s: evicted the line being filled",
                  name_.c_str());
     return victim;
 }
 
 bool
-Cache::invalidate(Addr line)
+Cache::invalidate(const CacheSlot &slot)
 {
-    int set = setIndex(line);
-    int way = findWay(set, line);
-    if (way < 0)
+    if (!slot.hit())
         return false;
-    size_t idx = static_cast<size_t>(set) * assoc_ + way;
+    size_t idx = resident(slot);
     Line &l = lines_[idx];
     bool was_dirty = l.dirty;
     if (l.prefetched)
-        prefetchUnused++;
+        counters_.prefetchUnused++;
     tags_[idx] = kInvalidTag;
     l.dirty = false;
     l.prefetched = false;
     l.presence = 0;
-    invalidations++;
+    counters_.invalidations++;
     return was_dirty;
 }
 
-void
-Cache::markPresence(Addr line, int core)
+double
+Cache::readyWait(const CacheSlot &slot, double now) const
 {
-    panic_if(!directory_, "cache %s has no directory", name_.c_str());
-    int set = setIndex(line);
-    int way = findWay(set, line);
-    if (way >= 0) {
-        lines_[static_cast<size_t>(set) * assoc_ + way].presence |=
-            static_cast<uint16_t>(1U << core);
+    if (!slot.hit())
+        return 0.0;
+    double ready = lines_[resident(slot)].readyAt;
+    return ready > now ? ready - now : 0.0;
+}
+
+void
+Cache::takePrefetchFlag(const CacheSlot &slot)
+{
+    Line &l = lines_[resident(slot)];
+    if (l.prefetched) {
+        counters_.prefetchUseful++;
+        l.prefetched = false;
     }
 }
 
-uint16_t
-Cache::presence(Addr line) const
+void
+Cache::markPresence(const CacheSlot &slot, int core)
 {
-    int set = setIndex(line);
-    int way = findWay(set, line);
-    return way < 0 ? 0
-                   : lines_[static_cast<size_t>(set) * assoc_ + way]
-                         .presence;
+    panic_if(!directory_, "cache %s has no directory", name_.c_str());
+    lines_[resident(slot)].presence |= static_cast<uint16_t>(1U << core);
+}
+
+uint16_t
+Cache::presence(const CacheSlot &slot) const
+{
+    return slot.hit() ? lines_[resident(slot)].presence : 0;
 }
 
 uint64_t
@@ -141,19 +168,6 @@ Cache::validLines() const
             n++;
     }
     return n;
-}
-
-bool
-Cache::consumePrefetchFlag(Addr line)
-{
-    int set = setIndex(line);
-    int way = findWay(set, line);
-    if (way < 0)
-        return false;
-    Line &l = lines_[static_cast<size_t>(set) * assoc_ + way];
-    bool was = l.prefetched;
-    l.prefetched = false;
-    return was;
 }
 
 } // namespace zcomp

@@ -19,14 +19,13 @@
 
 #include "common/check.hh"
 #include "common/config.hh"
-#include "common/simd.hh"
 #include "common/stats.hh"
 #include "mem/addr.hh"
 #include "mem/replacement.hh"
 
 namespace zcomp {
 
-/** Outcome of a cache lookup-with-fill. */
+/** A line displaced by Cache::fill(). */
 struct CacheVictim
 {
     bool valid = false;     //!< a line was evicted
@@ -36,59 +35,25 @@ struct CacheVictim
     uint16_t presence = 0;  //!< directory bits of the evicted line
 };
 
-class Cache
+/**
+ * Where Cache::probe() found a line: its set and, if resident, its
+ * way. Valid until the next fill or invalidate on the same cache;
+ * fill() updates the slot it is given, and a miss slot survives
+ * invalidations because fill() picks its way at fill time (DESIGN.md
+ * section 4.3b).
+ */
+struct CacheSlot
 {
-  public:
-    Cache(std::string name, const CacheConfig &cfg, bool directory);
+    Addr line = 0;
+    int set = 0;
+    int way = -1;           //!< -1: the line is not resident
 
-    /**
-     * Look up a line. On a hit, updates replacement state and marks
-     * dirty for writes. @return true on hit.
-     */
-    bool access(Addr line, bool is_write);
+    bool hit() const { return way >= 0; }
+};
 
-    /** True if the line is resident (no state update). */
-    bool contains(Addr line) const;
-
-    /**
-     * Insert a line (demand fill or prefetch fill), evicting a victim
-     * if the set is full. The returned victim describes any line that
-     * was displaced.
-     *
-     * @param ready_at cycle at which the fill data actually arrives;
-     *        a demand access before then pays the residual latency
-     *        (used to model in-flight prefetches, so a saturated DRAM
-     *        makes prefetched lines late rather than free).
-     */
-    CacheVictim insert(Addr line, bool dirty, bool is_prefetch,
-                       double ready_at = 0.0);
-
-    /** Residual wait until a resident line's fill data arrives. */
-    double readyWait(Addr line, double now) const;
-
-    /**
-     * Invalidate a line if present. @return true if it was dirty
-     * (the caller is responsible for the writeback).
-     */
-    bool invalidate(Addr line);
-
-    /** Set a presence bit (directory caches only). */
-    void markPresence(Addr line, int core);
-
-    /** Presence bits for a resident line (0 if absent). */
-    uint16_t presence(Addr line) const;
-
-    /** First-use bookkeeping for prefetch accuracy accounting. */
-    bool consumePrefetchFlag(Addr line);
-
-    int numSets() const { return numSets_; }
-    int assoc() const { return assoc_; }
-    const std::string &name() const { return name_; }
-
-    /** Currently valid lines (occupancy probe for tests/benches). */
-    uint64_t validLines() const;
-
-    // Event counters, aggregated externally into the hierarchy report.
+/** Event counters, aggregated externally into the hierarchy report. */
+struct CacheCounters
+{
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t writebacks = 0;        //!< dirty evictions
@@ -97,15 +62,82 @@ class Cache
     uint64_t prefetchUnused = 0;    //!< prefetched lines evicted unused
     uint64_t invalidations = 0;
     uint64_t evictions = 0;         //!< total victims displaced
+};
+
+/**
+ * Every operation works on a slot from probe(), so a caller that
+ * needs several things done to one line looks it up once.
+ */
+class Cache
+{
+  public:
+    Cache(std::string name, const CacheConfig &cfg, bool directory);
+
+    /** Find a line's set and way. Pure: updates no state. */
+    CacheSlot probe(Addr line) const;
+
+    /**
+     * Count a demand access to a probed line. On a hit, updates
+     * replacement state, credits a pending prefetch and marks dirty
+     * for writes. @return true on hit.
+     */
+    bool demand(const CacheSlot &slot, bool is_write);
+
+    /**
+     * Make a probed line resident (demand or prefetch fill). A slot
+     * that hit is refreshed in place; otherwise the way is chosen now,
+     * from the set as it is at fill time: the first empty way, else
+     * the replacement victim. The slot is updated to the filled way.
+     *
+     * @param ready_at cycle at which the fill data actually arrives;
+     *        a demand access before then pays the residual latency
+     *        (used to model in-flight prefetches, so a saturated DRAM
+     *        makes prefetched lines late rather than free).
+     * @return the displaced line, if any.
+     */
+    CacheVictim fill(CacheSlot &slot, bool dirty, bool is_prefetch,
+                     double ready_at = 0.0);
+
+    /**
+     * Drop a probed line if resident. @return true if it was dirty
+     * (the caller is responsible for the writeback).
+     */
+    bool invalidate(const CacheSlot &slot);
+
+    /** Residual wait until a resident line's fill data arrives. */
+    double readyWait(const CacheSlot &slot, double now) const;
+
+    /**
+     * Clear a resident line's prefetch flag on behalf of an imminent
+     * demand access, crediting the prefetch as useful.
+     */
+    void takePrefetchFlag(const CacheSlot &slot);
+
+    /** Set a presence bit on a resident line (directory caches only). */
+    void markPresence(const CacheSlot &slot, int core);
+
+    /** Presence bits of a probed line (0 if absent). */
+    uint16_t presence(const CacheSlot &slot) const;
+
+    int numSets() const { return numSets_; }
+    int assoc() const { return assoc_; }
+    const std::string &name() const { return name_; }
+
+    /** Currently valid lines (occupancy probe for tests/benches). */
+    uint64_t validLines() const;
+
+    const CacheCounters &counters() const { return counters_; }
+
+    /** Zero every counter; contents and replacement state stay. */
+    void resetCounters() { counters_ = {}; }
 
   private:
     /**
      * The tag of an empty way. Lookups are a pure tag-array probe (no
      * valid bit): line addresses are 64-byte aligned so they can never
      * equal the all-ones sentinel, making "tag matches" equivalent to
-     * "valid and tag matches". Keeping the tags of each set contiguous
-     * lets findWay compare a whole set per vector instruction instead
-     * of striding through Line records.
+     * "valid and tag matches". The tags of each set are contiguous, so
+     * a probe scans one short array.
      */
     static constexpr Addr kInvalidTag = ~Addr{0};
 
@@ -119,7 +151,10 @@ class Cache
     };
 
     int setIndex(Addr line) const;
-    int findWay(int set, Addr line) const;
+    int findWay(int set, Addr tag) const;
+
+    /** Index of a hit slot's line; checks the slot is not stale. */
+    size_t resident(const CacheSlot &slot) const;
 
     std::string name_;
     int numSets_;
@@ -129,12 +164,12 @@ class Cache
     std::vector<Addr> tags_;        //!< [set * assoc + way], kInvalidTag = empty
     std::vector<Line> lines_;
     std::unique_ptr<ReplacementPolicy> repl_;
+    CacheCounters counters_;
 };
 
-// The lookup chain (setIndex -> findWay -> access/contains/readyWait)
-// runs billions of times per sweep - the timing model's hottest path -
-// so these stay in the header where they inline into the hierarchy
-// walk instead of paying a call per tag probe.
+// probe() runs for every line at every level - the timing model's
+// hottest path - so the lookup chain stays in the header, where it
+// inlines into the hierarchy walk.
 
 inline int
 Cache::setIndex(Addr line) const
@@ -153,60 +188,24 @@ Cache::setIndex(Addr line) const
     return static_cast<int>(ln % static_cast<uint64_t>(numSets_));
 }
 
+/** First way of `set` holding `tag` (kInvalidTag: an empty way), or -1. */
 inline int
-Cache::findWay(int set, Addr line) const
+Cache::findWay(int set, Addr tag) const
 {
-    ZCOMP_DCHECK(line != kInvalidTag, "lookup of the invalid-tag sentinel");
-    const uint64_t *tags = tags_.data() + static_cast<size_t>(set) * assoc_;
-    // A set holds each tag at most once, so first-match == only-match
-    // and the result is backend independent.
-    int way;
-    if (simd::findTag64(tags, assoc_, line, way))
-        return way;
+    const Addr *tags = tags_.data() + static_cast<size_t>(set) * assoc_;
     for (int w = 0; w < assoc_; w++) {
-        if (tags[w] == line)
+        if (tags[w] == tag)
             return w;
     }
     return -1;
 }
 
-inline bool
-Cache::access(Addr line, bool is_write)
+inline CacheSlot
+Cache::probe(Addr line) const
 {
+    ZCOMP_DCHECK(line != kInvalidTag, "probe of the invalid-tag sentinel");
     int set = setIndex(line);
-    int way = findWay(set, line);
-    if (way < 0) {
-        misses++;
-        return false;
-    }
-    hits++;
-    Line &l = lines_[static_cast<size_t>(set) * assoc_ + way];
-    if (l.prefetched) {
-        prefetchUseful++;
-        l.prefetched = false;
-    }
-    if (is_write)
-        l.dirty = true;
-    repl_->onHit(set, way);
-    return true;
-}
-
-inline bool
-Cache::contains(Addr line) const
-{
-    return findWay(setIndex(line), line) >= 0;
-}
-
-inline double
-Cache::readyWait(Addr line, double now) const
-{
-    int set = setIndex(line);
-    int way = findWay(set, line);
-    if (way < 0)
-        return 0.0;
-    double ready =
-        lines_[static_cast<size_t>(set) * assoc_ + way].readyAt;
-    return ready > now ? ready - now : 0.0;
+    return {line, set, findWay(set, line)};
 }
 
 } // namespace zcomp

@@ -92,7 +92,8 @@ MemoryHierarchy::accessLine(int core, Addr line, bool is_write,
     // punch gaps into the sequence it observes and break training.
     runL2Prefetch(core, line, now);
 
-    if (l1_[uc]->access(line, is_write)) {
+    CacheSlot l1 = l1_[uc]->probe(line);
+    if (l1_[uc]->demand(l1, is_write)) {
         res.latency = cfg_.l1.latency + l1_wait;
         res.level = 1;
         return res;
@@ -105,13 +106,14 @@ MemoryHierarchy::accessLine(int core, Addr line, bool is_write,
     l2Busy_[uc] = std::max(l2Busy_[uc], now) + l2_service;
 
     double lat = cfg_.l1.latency + l1_wait;
-    if (l2_[uc]->access(line, false)) {
+    CacheSlot l2 = l2_[uc]->probe(line);
+    if (l2_[uc]->demand(l2, false)) {
         // If the line was filled by a still-in-flight prefetch, the
         // demand access waits for the remaining fill latency.
         lat += cfg_.l2.latency + l2_wait +
-               l2_[uc]->readyWait(line, now + lat);
+               l2_[uc]->readyWait(l2, now + lat);
         l1L2Bytes_ += lineBytes;    // fill into L1
-        insertL1(core, line, is_write);
+        insertL1(core, l1, is_write);
         res.latency = lat;
         res.level = 2;
         return res;
@@ -129,41 +131,31 @@ MemoryHierarchy::accessLine(int core, Addr line, bool is_write,
     l3SliceBusy_[us] = std::max(l3SliceBusy_[us], now) + l3_service;
 
     lat += cfg_.l2.latency + l2_wait + noc_rt + cfg_.l3.latency + l3_wait;
-    res.level = 3;
+    CacheSlot l3 = l3_->probe(line);
+    res.level = l3.hit() ? 3 : 4;   // L3 miss -> DRAM
+    lat += fillL3(core, l3, now, now + lat);
 
-    if (!l3_->access(line, false)) {
-        // L3 miss -> DRAM.
-        lat += dram_.access(line, false, now + lat);
-        l3DramBytes_ += lineBytes;
-        CacheVictim v = l3_->insert(line, false, false);
-        evictFromL3(v, now);
-        res.level = 4;
-    }
-    l3_->markPresence(line, core);
-
-    // Fill the private caches.
+    // Fill the private caches. The L3 fill may have back-invalidated
+    // lines in these sets; each fill picks its way only now.
     l2L3Bytes_ += lineBytes;
-    insertL2(core, line, false, now);
+    insertL2(core, l2, false, now);
     l1L2Bytes_ += lineBytes;
-    insertL1(core, line, is_write);
+    insertL1(core, l1, is_write);
 
     res.latency = lat;
     return res;
 }
 
 double
-MemoryHierarchy::fillL3(int core, Addr line, double now, bool count_hit)
+MemoryHierarchy::fillL3(int core, CacheSlot &l3, double now, double dram_at)
 {
     double lat = 0;
-    if (!l3_->access(line, false)) {
-        lat = dram_.access(line, false, now);
+    if (!l3_->demand(l3, false)) {
+        lat = dram_.access(l3.line, false, dram_at);
         l3DramBytes_ += lineBytes;
-        CacheVictim v = l3_->insert(line, false, false);
-        evictFromL3(v, now);
-    } else if (!count_hit) {
-        // The probe above already counted a hit; nothing else to do.
+        evictFromL3(l3_->fill(l3, false, false), now);
     }
-    l3_->markPresence(line, core);
+    l3_->markPresence(l3, core);
     return lat;
 }
 
@@ -178,11 +170,11 @@ MemoryHierarchy::evictFromL3(const CacheVictim &victim, double now)
     for (int c = 0; c < cfg_.numCores; c++) {
         if (victim.presence & (1U << c)) {
             auto uc = static_cast<size_t>(c);
-            if (l1_[uc]->invalidate(victim.addr)) {
+            if (l1_[uc]->invalidate(l1_[uc]->probe(victim.addr))) {
                 dirty = true;
                 l1L2Bytes_ += lineBytes;
             }
-            if (l2_[uc]->invalidate(victim.addr)) {
+            if (l2_[uc]->invalidate(l2_[uc]->probe(victim.addr))) {
                 dirty = true;
                 l2L3Bytes_ += lineBytes;
             }
@@ -195,15 +187,14 @@ MemoryHierarchy::evictFromL3(const CacheVictim &victim, double now)
 }
 
 void
-MemoryHierarchy::insertL2(int core, Addr line, bool prefetch, double now,
-                          double ready_at)
+MemoryHierarchy::insertL2(int core, CacheSlot &l2, bool prefetch,
+                          double now, double ready_at)
 {
     auto uc = static_cast<size_t>(core);
-    CacheVictim v = l2_[uc]->insert(line, false, prefetch, ready_at);
+    CacheVictim v = l2_[uc]->fill(l2, false, prefetch, ready_at);
     if (v.valid) {
         // Inclusion of L1: the evicted L2 line leaves L1 as well.
-        bool l1_dirty = l1_[uc]->invalidate(v.addr);
-        if (l1_dirty) {
+        if (l1_[uc]->invalidate(l1_[uc]->probe(v.addr))) {
             l1L2Bytes_ += lineBytes;
             v.dirty = true;
         }
@@ -211,9 +202,10 @@ MemoryHierarchy::insertL2(int core, Addr line, bool prefetch, double now,
             // Write back into L3; the line is still there (inclusive)
             // unless it was already evicted - then it goes to DRAM.
             l2L3Bytes_ += lineBytes;
-            if (l3_->contains(v.addr)) {
+            CacheSlot l3 = l3_->probe(v.addr);
+            if (l3.hit()) {
                 l3WbProbes_++;
-                l3_->access(v.addr, true);
+                l3_->demand(l3, true);
             } else {
                 dram_.access(v.addr, true, now);
                 l3DramBytes_ += lineBytes;
@@ -223,20 +215,19 @@ MemoryHierarchy::insertL2(int core, Addr line, bool prefetch, double now,
 }
 
 void
-MemoryHierarchy::insertL1(int core, Addr line, bool dirty)
+MemoryHierarchy::insertL1(int core, CacheSlot &l1, bool dirty)
 {
     auto uc = static_cast<size_t>(core);
-    CacheVictim v = l1_[uc]->insert(line, dirty, false);
+    CacheVictim v = l1_[uc]->fill(l1, dirty, false);
     if (v.valid && v.dirty) {
         // Write back into L2 (inclusive of L1, so it must be there).
         l1L2Bytes_ += lineBytes;
-        if (l2_[uc]->contains(v.addr)) {
-            l2_[uc]->access(v.addr, true);
-        } else {
+        CacheSlot l2 = l2_[uc]->probe(v.addr);
+        if (!l2.hit()) {
             // Defensive: racing back-invalidation removed it.
-            insertL2(core, v.addr, false, 0.0);
-            l2_[uc]->access(v.addr, true);
+            insertL2(core, l2, false, 0.0);
         }
+        l2_[uc]->demand(l2, true);
     }
 }
 
@@ -249,17 +240,17 @@ MemoryHierarchy::runL2Prefetch(int core, Addr line, double now)
     prefetchScratch_.clear();
     l2Pref_[uc].onAccess(line, prefetchScratch_);
     for (Addr pf : prefetchScratch_) {
-        if (l2_[uc]->contains(pf))
+        CacheSlot l2 = l2_[uc]->probe(pf);
+        if (l2.hit())
             continue;
         // Prefetch throttling: hardware prefetchers drop requests
         // when the memory queues are saturated. Without this, a core
         // running at cache speed can flood DRAM with fills faster
         // than the channels drain, and the ready-time of late fills
         // runs away unboundedly.
-        if (!l3_->contains(pf) &&
-            dram_.backlog(pf, now) > prefetchBacklogCap_) {
+        CacheSlot l3 = l3_->probe(pf);
+        if (!l3.hit() && dram_.backlog(pf, now) > prefetchBacklogCap_)
             continue;
-        }
         // Fetch from L3/DRAM into L2, consuming real bandwidth. The
         // fill's arrival time is recorded so that a demand access that
         // catches up with a late prefetch still pays the residual
@@ -271,11 +262,11 @@ MemoryHierarchy::runL2Prefetch(int core, Addr line, double now)
         double l3_wait = std::max(0.0, l3SliceBusy_[us] - now);
         l3SliceBusy_[us] = std::max(l3SliceBusy_[us], now) + l3_service;
         double fill_lat = noc_.roundTrip(core, slice) + cfg_.l3.latency +
-                          l3_wait + fillL3(core, pf, now, true);
+                          l3_wait + fillL3(core, l3, now, now);
         nocHops_ += static_cast<uint64_t>(2 * noc_.hops(core, slice));
         l2L3Bytes_ += lineBytes;
         l2PrefFilled_++;
-        insertL2(core, pf, true, now, now + fill_lat);
+        insertL2(core, l2, true, now, now + fill_lat);
     }
 }
 
@@ -289,22 +280,21 @@ MemoryHierarchy::runL1Prefetch(int core, Addr line, uint32_t pc,
     prefetchScratch_.clear();
     l1Pref_[uc].onAccess(pc, line, prefetchScratch_);
     for (Addr pf : prefetchScratch_) {
-        if (l1_[uc]->contains(pf))
+        CacheSlot l1 = l1_[uc]->probe(pf);
+        if (l1.hit())
             continue;
         // L1 prefetch only promotes lines already in this core's L2;
         // it does not cascade misses further down, and it leaves
         // still-in-flight L2 prefetch fills alone (their data has not
         // arrived yet).
-        if (!l2_[uc]->contains(pf))
-            continue;
-        if (l2_[uc]->readyWait(pf, now) > 0)
+        CacheSlot l2 = l2_[uc]->probe(pf);
+        if (!l2.hit() || l2_[uc]->readyWait(l2, now) > 0)
             continue;
         // Promoting a prefetched L2 line on behalf of an imminent
         // demand access consumes (and credits) the L2 prefetch.
-        if (l2_[uc]->consumePrefetchFlag(pf))
-            l2_[uc]->prefetchUseful++;
+        l2_[uc]->takePrefetchFlag(l2);
         l1L2Bytes_ += lineBytes;
-        insertL1(core, pf, false);
+        insertL1(core, l1, false);
     }
 }
 
@@ -315,11 +305,13 @@ MemoryHierarchy::checkInvariants() const
     uint64_t l2_accesses = 0, l2_misses = 0, l2_pref_fills = 0;
     for (int c = 0; c < cfg_.numCores; c++) {
         auto uc = static_cast<size_t>(c);
-        l1_misses += l1_[uc]->misses;
-        l1_writebacks += l1_[uc]->writebacks;
-        l2_accesses += l2_[uc]->hits + l2_[uc]->misses;
-        l2_misses += l2_[uc]->misses;
-        l2_pref_fills += l2_[uc]->prefetchFills;
+        const CacheCounters &l1 = l1_[uc]->counters();
+        const CacheCounters &l2 = l2_[uc]->counters();
+        l1_misses += l1.misses;
+        l1_writebacks += l1.writebacks;
+        l2_accesses += l2.hits + l2.misses;
+        l2_misses += l2.misses;
+        l2_pref_fills += l2.prefetchFills;
     }
 
     // Level-N misses + writebacks == level-N+1 accesses: every L2
@@ -340,11 +332,12 @@ MemoryHierarchy::checkInvariants() const
 
     // Every L3 lookup is a demand L2 miss, a prefetch fill probe, or
     // an L2 dirty writeback landing in the (inclusive) L3.
-    ZCOMP_CHECK(l3_->hits + l3_->misses ==
+    uint64_t l3_accesses = l3_->counters().hits + l3_->counters().misses;
+    ZCOMP_CHECK(l3_accesses ==
                     l2DemandMissesBelow_ + l2PrefFilled_ + l3WbProbes_,
                 "L2->L3 conservation: %llu L3 accesses vs %llu + %llu "
                 "+ %llu",
-                (unsigned long long)(l3_->hits + l3_->misses),
+                (unsigned long long)l3_accesses,
                 (unsigned long long)l2DemandMissesBelow_,
                 (unsigned long long)l2PrefFilled_,
                 (unsigned long long)l3WbProbes_);
@@ -378,17 +371,18 @@ MemoryHierarchy::checkInvariants() const
                 (unsigned long long)nocHops_);
 
     auto check_cache = [](const Cache &c) {
-        ZCOMP_CHECK(c.writebacks <= c.evictions,
+        const CacheCounters &n = c.counters();
+        ZCOMP_CHECK(n.writebacks <= n.evictions,
                     "cache %s: %llu writebacks exceed %llu evictions",
-                    c.name().c_str(), (unsigned long long)c.writebacks,
-                    (unsigned long long)c.evictions);
+                    c.name().c_str(), (unsigned long long)n.writebacks,
+                    (unsigned long long)n.evictions);
         uint64_t capacity = static_cast<uint64_t>(c.numSets()) *
                             static_cast<uint64_t>(c.assoc());
         // Each counted fill resolves at most once as useful or unused;
         // the capacity slack covers still-flagged lines that survived
         // a resetStats() (their fill predates the counter epoch).
-        ZCOMP_CHECK(c.prefetchUseful + c.prefetchUnused <=
-                        c.prefetchFills + capacity,
+        ZCOMP_CHECK(n.prefetchUseful + n.prefetchUnused <=
+                        n.prefetchFills + capacity,
                     "cache %s: prefetch outcome accounting drifted",
                     c.name().c_str());
         // Debug only: the occupancy probe walks every line, too slow
@@ -416,16 +410,18 @@ MemoryHierarchy::snapshot() const
     s.l3DramBytes = l3DramBytes_;
     for (int c = 0; c < cfg_.numCores; c++) {
         auto uc = static_cast<size_t>(c);
-        s.l1Hits += l1_[uc]->hits;
-        s.l1Misses += l1_[uc]->misses;
-        s.l2Hits += l2_[uc]->hits;
-        s.l2Misses += l2_[uc]->misses;
-        s.l2PrefUseful += l2_[uc]->prefetchUseful;
-        s.l2PrefUnused += l2_[uc]->prefetchUnused;
+        const CacheCounters &l1 = l1_[uc]->counters();
+        const CacheCounters &l2 = l2_[uc]->counters();
+        s.l1Hits += l1.hits;
+        s.l1Misses += l1.misses;
+        s.l2Hits += l2.hits;
+        s.l2Misses += l2.misses;
+        s.l2PrefUseful += l2.prefetchUseful;
+        s.l2PrefUnused += l2.prefetchUnused;
     }
     s.l2PrefIssued = l2PrefFilled_;
-    s.l3Hits = l3_->hits;
-    s.l3Misses = l3_->misses;
+    s.l3Hits = l3_->counters().hits;
+    s.l3Misses = l3_->counters().misses;
     s.l2DemandMissesBelow = l2DemandMissesBelow_;
     s.nocHops = nocHops_;
     return s;
@@ -450,17 +446,18 @@ MemoryHierarchy::dumpStats(StatGroup &group) const
         .set(s.nocHops);
 
     auto fill_cache = [](StatGroup &g, const Cache &c) {
-        g.addCounter("hits", "demand hits").set(c.hits);
-        g.addCounter("misses", "demand misses").set(c.misses);
-        g.addCounter("writebacks", "dirty evictions").set(c.writebacks);
-        g.addCounter("evictions", "total victims").set(c.evictions);
+        const CacheCounters &n = c.counters();
+        g.addCounter("hits", "demand hits").set(n.hits);
+        g.addCounter("misses", "demand misses").set(n.misses);
+        g.addCounter("writebacks", "dirty evictions").set(n.writebacks);
+        g.addCounter("evictions", "total victims").set(n.evictions);
         g.addCounter("invalidations", "back-invalidations")
-            .set(c.invalidations);
-        g.addCounter("pf_fills", "prefetch fills").set(c.prefetchFills);
+            .set(n.invalidations);
+        g.addCounter("pf_fills", "prefetch fills").set(n.prefetchFills);
         g.addCounter("pf_useful", "prefetches hit by demand")
-            .set(c.prefetchUseful);
+            .set(n.prefetchUseful);
         g.addCounter("pf_unused", "prefetches evicted unused")
-            .set(c.prefetchUnused);
+            .set(n.prefetchUnused);
     };
     for (int c = 0; c < cfg_.numCores; c++) {
         auto uc = static_cast<size_t>(c);
@@ -497,17 +494,12 @@ MemoryHierarchy::resetStats()
     nocHops_ = 0;
     for (int c = 0; c < cfg_.numCores; c++) {
         auto uc = static_cast<size_t>(c);
-        l1_[uc]->hits = l1_[uc]->misses = l1_[uc]->writebacks = 0;
-        l1_[uc]->prefetchFills = l1_[uc]->prefetchUseful = 0;
-        l1_[uc]->prefetchUnused = l1_[uc]->invalidations = 0;
-        l2_[uc]->hits = l2_[uc]->misses = l2_[uc]->writebacks = 0;
-        l2_[uc]->prefetchFills = l2_[uc]->prefetchUseful = 0;
-        l2_[uc]->prefetchUnused = l2_[uc]->invalidations = 0;
+        l1_[uc]->resetCounters();
+        l2_[uc]->resetCounters();
         l2Pref_[uc].reset();
         l1Pref_[uc].reset();
     }
-    l3_->hits = l3_->misses = l3_->writebacks = 0;
-    l3_->invalidations = 0;
+    l3_->resetCounters();
     dram_.reset();
 }
 

@@ -127,18 +127,22 @@ class MemoryHierarchy
     AccessResult accessLine(int core, Addr line, bool is_write,
                             double now, uint32_t pc);
 
-    /** Fetch a line into L3 (+directory) from DRAM if absent. */
-    double fillL3(int core, Addr line, double now, bool count_hit);
+    /**
+     * Count a demand access to a probed L3 line, fetch it from DRAM
+     * (read issued at `dram_at`) if absent, and mark the core in the
+     * directory. @return the DRAM latency (0 on an L3 hit).
+     */
+    double fillL3(int core, CacheSlot &l3, double now, double dram_at);
 
     /** Handle an L3 victim: back-invalidate and write back. */
     void evictFromL3(const CacheVictim &victim, double now);
 
-    /** Insert into a core's L2, handling inclusion of L1. */
-    void insertL2(int core, Addr line, bool prefetch, double now,
+    /** Fill a probed line into a core's L2, handling inclusion of L1. */
+    void insertL2(int core, CacheSlot &l2, bool prefetch, double now,
                   double ready_at = 0.0);
 
-    /** Insert into a core's L1. */
-    void insertL1(int core, Addr line, bool dirty);
+    /** Fill a probed line into a core's L1. */
+    void insertL1(int core, CacheSlot &l1, bool dirty);
 
     /** Run the L2 stream prefetcher for a demand access. */
     void runL2Prefetch(int core, Addr line, double now);

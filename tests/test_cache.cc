@@ -18,84 +18,144 @@ tinyCache(int lines, int assoc, ReplPolicy repl = ReplPolicy::LRU)
     return cfg;
 }
 
+/** Probe-then-demand: the cache-level view of one demand access. */
+bool
+access(Cache &c, Addr line, bool is_write)
+{
+    return c.demand(c.probe(line), is_write);
+}
+
+/** Probe-then-fill of a line, as the hierarchy issues it. */
+CacheVictim
+insert(Cache &c, Addr line, bool dirty, bool is_prefetch,
+       double ready_at = 0.0)
+{
+    CacheSlot slot = c.probe(line);
+    return c.fill(slot, dirty, is_prefetch, ready_at);
+}
+
+bool
+contains(const Cache &c, Addr line)
+{
+    return c.probe(line).hit();
+}
+
 } // namespace
 
 TEST(Cache, MissThenHit)
 {
     Cache c("t", tinyCache(8, 2), false);
-    EXPECT_FALSE(c.access(0x1000, false));
-    c.insert(0x1000, false, false);
-    EXPECT_TRUE(c.access(0x1000, false));
-    EXPECT_EQ(c.hits, 1u);
-    EXPECT_EQ(c.misses, 1u);
+    EXPECT_FALSE(access(c, 0x1000, false));
+    insert(c, 0x1000, false, false);
+    EXPECT_TRUE(access(c, 0x1000, false));
+    EXPECT_EQ(c.counters().hits, 1u);
+    EXPECT_EQ(c.counters().misses, 1u);
+}
+
+TEST(Cache, ProbeIsPure)
+{
+    Cache c("t", tinyCache(2, 2), false);
+    insert(c, 0x0, false, true);
+    insert(c, 0x80, false, false);
+    CacheSlot a = c.probe(0x0);
+    CacheSlot miss = c.probe(0x100);
+    EXPECT_TRUE(a.hit());
+    EXPECT_FALSE(miss.hit());
+    for (int i = 0; i < 4; i++)
+        c.probe(0x0);
+    // Probing counted nothing, consumed no prefetch flag and left 0x0
+    // the LRU way: the next fill still evicts it.
+    EXPECT_EQ(c.counters().hits + c.counters().misses, 0u);
+    EXPECT_EQ(c.counters().prefetchUseful, 0u);
+    CacheVictim v = c.fill(miss, false, false);
+    EXPECT_TRUE(v.valid);
+    EXPECT_EQ(v.addr, 0x0u);
+    EXPECT_TRUE(v.wasPrefetch);
 }
 
 TEST(Cache, WriteMarksDirtyAndEvictionReportsIt)
 {
-    // 2 lines, direct... 2-way single set: fill both ways then insert a
+    // A 2-way cache with a single set: fill both ways then insert a
     // third line; the dirty one must come out as a writeback.
     Cache c("t", tinyCache(2, 2), false);
-    c.insert(0x0, false, false);
-    c.insert(0x80, false, false);   // set 0 again (2 sets? no: 1 set)
-    c.access(0x0, true);            // dirty line 0x0
-    c.access(0x80, false);          // 0x80 more recent
-    CacheVictim v = c.insert(0x100, false, false);
+    insert(c, 0x0, false, false);
+    insert(c, 0x80, false, false);
+    access(c, 0x0, true);           // dirty line 0x0
+    access(c, 0x80, false);         // 0x80 more recent
+    CacheVictim v = insert(c, 0x100, false, false);
     EXPECT_TRUE(v.valid);
     EXPECT_EQ(v.addr, 0x0u);
     EXPECT_TRUE(v.dirty);
-    EXPECT_EQ(c.writebacks, 1u);
+    EXPECT_EQ(c.counters().writebacks, 1u);
+    EXPECT_EQ(c.counters().evictions, 1u);
 }
 
 TEST(Cache, InvalidateReturnsDirtiness)
 {
     Cache c("t", tinyCache(8, 2), false);
-    c.insert(0x40, false, false);
-    c.access(0x40, true);
-    EXPECT_TRUE(c.invalidate(0x40));
-    EXPECT_FALSE(c.contains(0x40));
-    EXPECT_FALSE(c.invalidate(0x40));   // already gone
-    EXPECT_EQ(c.invalidations, 1u);
+    insert(c, 0x40, false, false);
+    access(c, 0x40, true);
+    EXPECT_TRUE(c.invalidate(c.probe(0x40)));
+    EXPECT_FALSE(contains(c, 0x40));
+    EXPECT_FALSE(c.invalidate(c.probe(0x40)));  // already gone
+    EXPECT_EQ(c.counters().invalidations, 1u);
 }
 
 TEST(Cache, PrefetchAccuracyAccounting)
 {
     Cache c("t", tinyCache(4, 4), false);
-    c.insert(0x000, false, true);   // prefetch fill
-    c.insert(0x040, false, true);
-    EXPECT_EQ(c.prefetchFills, 2u);
+    insert(c, 0x000, false, true);  // prefetch fill
+    insert(c, 0x040, false, true);
+    EXPECT_EQ(c.counters().prefetchFills, 2u);
     // Demand hit on one prefetched line -> useful.
-    EXPECT_TRUE(c.access(0x000, false));
-    EXPECT_EQ(c.prefetchUseful, 1u);
+    EXPECT_TRUE(access(c, 0x000, false));
+    EXPECT_EQ(c.counters().prefetchUseful, 1u);
     // Second hit on the same line is no longer counted as prefetch use.
-    c.access(0x000, false);
-    EXPECT_EQ(c.prefetchUseful, 1u);
+    access(c, 0x000, false);
+    EXPECT_EQ(c.counters().prefetchUseful, 1u);
     // Evict the unused prefetch (fill the set, then one more).
-    c.insert(0x080, false, false);
-    c.insert(0x0C0, false, false);
-    c.insert(0x100, false, false);
-    EXPECT_EQ(c.prefetchUnused, 1u);
+    insert(c, 0x080, false, false);
+    insert(c, 0x0C0, false, false);
+    insert(c, 0x100, false, false);
+    EXPECT_EQ(c.counters().prefetchUnused, 1u);
+}
+
+TEST(Cache, TakePrefetchFlagCreditsOnce)
+{
+    Cache c("t", tinyCache(8, 2), false);
+    insert(c, 0x40, false, true);
+    c.takePrefetchFlag(c.probe(0x40));
+    c.takePrefetchFlag(c.probe(0x40));
+    EXPECT_EQ(c.counters().prefetchUseful, 1u);
+    // The flag is gone: a demand hit credits nothing more, and the
+    // promotion itself was not a demand access.
+    EXPECT_TRUE(access(c, 0x40, false));
+    EXPECT_EQ(c.counters().prefetchUseful, 1u);
+    EXPECT_EQ(c.counters().hits, 1u);
 }
 
 TEST(Cache, ReadyWaitModelsInFlightFills)
 {
     Cache c("t", tinyCache(8, 2), false);
-    c.insert(0x40, false, true, /*ready_at=*/100.0);
-    EXPECT_DOUBLE_EQ(c.readyWait(0x40, 60.0), 40.0);
-    EXPECT_DOUBLE_EQ(c.readyWait(0x40, 150.0), 0.0);
-    EXPECT_DOUBLE_EQ(c.readyWait(0x9999, 0.0), 0.0);    // absent line
+    insert(c, 0x40, false, true, /*ready_at=*/100.0);
+    CacheSlot s = c.probe(0x40);
+    EXPECT_DOUBLE_EQ(c.readyWait(s, 60.0), 40.0);
+    EXPECT_DOUBLE_EQ(c.readyWait(s, 150.0), 0.0);
+    EXPECT_DOUBLE_EQ(c.readyWait(c.probe(0x9980), 0.0), 0.0); // absent
 }
 
 TEST(Cache, DirectoryPresenceBits)
 {
     Cache c("l3", tinyCache(8, 2), true);
-    c.insert(0x40, false, false);
-    c.markPresence(0x40, 3);
-    c.markPresence(0x40, 7);
-    EXPECT_EQ(c.presence(0x40), (1u << 3) | (1u << 7));
-    EXPECT_EQ(c.presence(0x80), 0u);
+    CacheSlot s = c.probe(0x40);
+    c.fill(s, false, false);
+    c.markPresence(s, 3);
+    c.markPresence(s, 7);
+    EXPECT_EQ(c.presence(c.probe(0x40)), (1u << 3) | (1u << 7));
+    EXPECT_EQ(c.presence(c.probe(0x80)), 0u);
     // Presence travels with the victim on eviction.
-    c.insert(0x240, false, false);  // same set (8 lines/2-way = 4 sets)
-    CacheVictim v = c.insert(0x440, false, false);
+    insert(c, 0x240, false, false); // same set (8 lines/2-way = 4 sets)
+    CacheVictim v = insert(c, 0x440, false, false);
     EXPECT_TRUE(v.valid);
     EXPECT_EQ(v.presence, (1u << 3) | (1u << 7));
 }
@@ -105,36 +165,91 @@ TEST(Cache, SetConflictsEvictWithinSetOnly)
     // 8 lines, 2-way -> 4 sets. Lines mapping to set 0 are multiples
     // of 4*64 = 0x100.
     Cache c("t", tinyCache(8, 2), false);
-    c.insert(0x000, false, false);
-    c.insert(0x100, false, false);
-    c.insert(0x040, false, false);  // set 1: must not evict set 0
-    EXPECT_TRUE(c.contains(0x000));
-    EXPECT_TRUE(c.contains(0x100));
-    CacheVictim v = c.insert(0x200, false, false);  // set 0 overflows
+    insert(c, 0x000, false, false);
+    insert(c, 0x100, false, false);
+    insert(c, 0x040, false, false); // set 1: must not evict set 0
+    EXPECT_TRUE(contains(c, 0x000));
+    EXPECT_TRUE(contains(c, 0x100));
+    CacheVictim v = insert(c, 0x200, false, false); // set 0 overflows
     EXPECT_TRUE(v.valid);
     EXPECT_TRUE(v.addr == 0x000 || v.addr == 0x100);
-    EXPECT_TRUE(c.contains(0x040));
+    EXPECT_TRUE(contains(c, 0x040));
 }
 
 TEST(Cache, ReinsertResidentLineIsNotAnEviction)
 {
     Cache c("t", tinyCache(8, 2), false);
-    c.insert(0x40, false, false);
-    CacheVictim v = c.insert(0x40, true, false);
+    insert(c, 0x40, false, false);
+    CacheVictim v = insert(c, 0x40, true, false);
     EXPECT_FALSE(v.valid);
-    // Dirty flag merged in.
-    CacheVictim v2 = c.insert(0x240, false, false);
-    (void)v2;
-    c.access(0x40, false);
-    EXPECT_TRUE(c.contains(0x40));
+    EXPECT_EQ(c.counters().evictions, 0u);
+    insert(c, 0x240, false, false); // same set: both ways now full
+    EXPECT_TRUE(contains(c, 0x40));
+    // The dirty flag merged in: invalidating reports a writeback.
+    EXPECT_TRUE(c.invalidate(c.probe(0x40)));
 }
 
 TEST(Cache, SrripCacheBasics)
 {
     Cache c("t", tinyCache(8, 4, ReplPolicy::SRRIP), false);
-    c.insert(0x000, false, false);
-    EXPECT_TRUE(c.access(0x000, false));
-    EXPECT_TRUE(c.contains(0x000));
+    insert(c, 0x000, false, false);
+    EXPECT_TRUE(access(c, 0x000, false));
+    EXPECT_TRUE(contains(c, 0x000));
+}
+
+TEST(Cache, StaleSlotIsCaughtInDebug)
+{
+    Cache c("t", tinyCache(8, 2), false);
+    insert(c, 0x40, false, false);
+    CacheSlot hit = c.probe(0x40);
+    CacheSlot miss = c.probe(0x80);
+    ASSERT_TRUE(hit.hit());
+    ASSERT_FALSE(miss.hit());
+    // Both slots go stale: the hit's line leaves, the miss's arrives.
+    c.invalidate(c.probe(0x40));
+    insert(c, 0x80, false, false);
+    EXPECT_FALSE(c.probe(0x40).hit());
+    EXPECT_TRUE(c.probe(0x80).hit());
+#if ZCOMP_DCHECK_ENABLED
+    EXPECT_DEATH(c.demand(hit, false), "stale slot");
+    EXPECT_DEATH(c.fill(miss, false, false), "stale miss slot");
+#endif
+}
+
+TEST(Cache, WayScanAtTableGeometries)
+{
+    // The L1 (8-way), L3 (12-way) and L2 (16-way) set sizes, each as a
+    // single-set cache so every line below lands in the same set.
+    for (int ways : {8, 12, 16}) {
+        SCOPED_TRACE(ways);
+        Cache c("t", tinyCache(ways, ways), false);
+        auto line = [](int i) { return static_cast<Addr>(i) * lineBytes; };
+        for (int i = 0; i < ways; i++) {
+            CacheSlot s = c.probe(line(i));
+            ASSERT_FALSE(s.hit());
+            c.fill(s, false, false);
+            EXPECT_EQ(s.way, i) << "fill must take the first empty way";
+        }
+        for (int i = 0; i < ways; i++) {
+            CacheSlot s = c.probe(line(i));
+            EXPECT_EQ(s.set, 0);
+            EXPECT_EQ(s.way, i) << "hit at every way";
+        }
+        EXPECT_FALSE(c.probe(line(ways)).hit());
+        // Free a middle way, then the highest one: the next two fills
+        // take them in way order, with no eviction.
+        int mid = ways / 2;
+        c.invalidate(c.probe(line(ways - 1)));
+        c.invalidate(c.probe(line(mid)));
+        for (int expect : {mid, ways - 1}) {
+            CacheSlot s = c.probe(line(ways + expect));
+            EXPECT_FALSE(c.fill(s, false, false).valid);
+            EXPECT_EQ(s.way, expect);
+            EXPECT_EQ(c.probe(line(ways + expect)).way, expect);
+        }
+        EXPECT_EQ(c.counters().evictions, 0u);
+        EXPECT_EQ(c.validLines(), static_cast<uint64_t>(ways));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -212,15 +327,16 @@ TEST(CacheProperty, LruMatchesReferenceModel)
                         ? rng.below(static_cast<uint64_t>(sets * ways))
                               * lineBytes
                         : rng.below(1 << 14) * lineBytes;
-        bool hit_dut = dut.access(line, rng.chance(0.3));
+        CacheSlot slot = dut.probe(line);
+        bool hit_dut = dut.demand(slot, rng.chance(0.3));
         bool hit_ref = ref.access(line);
         ASSERT_EQ(hit_dut, hit_ref) << "divergence at access " << i
                                     << " line 0x" << std::hex << line;
         if (!hit_dut) {
-            dut.insert(line, false, false);
+            dut.fill(slot, false, false);
             ref.insert(line);
         }
     }
-    EXPECT_GT(dut.hits, 0u);
-    EXPECT_GT(dut.misses, 0u);
+    EXPECT_GT(dut.counters().hits, 0u);
+    EXPECT_GT(dut.counters().misses, 0u);
 }

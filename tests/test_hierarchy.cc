@@ -192,13 +192,36 @@ TEST(Hierarchy, PrefetchConsumesDramBandwidth)
 
 TEST(Hierarchy, ResetStatsKeepsContents)
 {
-    MemoryHierarchy mem(smallCfg());
-    mem.access(0, 0x100000, 64, false, 0.0, 1);
+    ArchConfig cfg = smallCfg();
+    cfg.prefetch.l1IpStride = true;
+    cfg.prefetch.l2Stream = true;
+    MemoryHierarchy mem(cfg);
+    // Stream stores past the L1 (64 lines) and L2 (256 lines) so every
+    // kind of cache event happens before the reset.
+    double t = 0.0;
+    for (Addr a = 0x100000; a < 0x100000 + 32 * KiB; a += lineBytes)
+        t += mem.access(0, a, 64, true, t, 1).latency;
     mem.resetStats();
     HierSnapshot s = mem.snapshot();
     EXPECT_EQ(s.coreL1Bytes, 0u);
-    // Line still cached.
-    EXPECT_EQ(mem.access(0, 0x100000, 64, false, 1.0, 1).level, 1);
+
+    StatGroup g("mem");
+    mem.dumpStats(g);
+    int checked = 0;
+    for (const auto &child : g.children()) {
+        const std::string &n = child->name();
+        if (n.rfind("l1_", 0) != 0 && n.rfind("l2_", 0) != 0 && n != "l3")
+            continue;
+        for (const auto &c : child->counters()) {
+            EXPECT_EQ(c->value(), 0u) << n << "." << c->name();
+            checked++;
+        }
+    }
+    EXPECT_EQ(checked, (2 * cfg.numCores + 1) * 8);
+
+    // The last line written is still cached.
+    Addr last = 0x100000 + 32 * KiB - lineBytes;
+    EXPECT_EQ(mem.access(0, last, 64, false, t, 1).level, 1);
 }
 
 TEST(Hierarchy, ResetAllDropsContents)

@@ -150,8 +150,6 @@ TEST(SimdDispatch, ScalarBackendHandlesNothing)
     simd::setBackend(simd::Backend::Scalar);
     uint64_t h;
     uint8_t buf[64] = {};
-    int way;
-    uint64_t tags[4] = {};
     size_t nnz = 0;
     float f[16] = {};
     uint16_t u16[1];
@@ -160,7 +158,6 @@ TEST(SimdDispatch, ScalarBackendHandlesNothing)
     EXPECT_FALSE(simd::laneHeader(buf, 4, false, h));
     EXPECT_FALSE(simd::packLanes(buf, 4, 0xFFFF, buf));
     EXPECT_FALSE(simd::unpackLanes(buf, 4, 0xFFFF, buf));
-    EXPECT_FALSE(simd::findTag64(tags, 4, 1, way));
     EXPECT_FALSE(simd::countNonzeroF32(f, 16, nnz));
     EXPECT_FALSE(simd::vecNnzF32(f, 1, u16));
     EXPECT_FALSE(simd::fpcBitsLine(buf, bits, zm));
@@ -411,32 +408,6 @@ TEST(SimdDiff, GemmKernelsBitExact)
                                         accSimd.data()));
         EXPECT_EQ(std::memcmp(accRef.data(), accSimd.data(), 64), 0)
             << simd::backendName(b);
-    }
-}
-
-TEST(SimdDiff, FindTag64AllPositions)
-{
-    BackendGuard guard;
-    for (simd::Backend b : nativeBackends()) {
-        simd::setBackend(b);
-        for (int assoc = 1; assoc <= 17; assoc++) {
-            std::vector<uint64_t> tags(static_cast<size_t>(assoc));
-            for (int i = 0; i < assoc; i++)
-                tags[static_cast<size_t>(i)] =
-                    0x4000 + static_cast<uint64_t>(i) * 64;
-            for (int hit = 0; hit < assoc; hit++) {
-                int way = -2;
-                ASSERT_TRUE(simd::findTag64(
-                    tags.data(), assoc,
-                    0x4000 + static_cast<uint64_t>(hit) * 64, way));
-                EXPECT_EQ(way, hit)
-                    << simd::backendName(b) << " assoc=" << assoc;
-            }
-            int way = -2;
-            ASSERT_TRUE(
-                simd::findTag64(tags.data(), assoc, 0x9999, way));
-            EXPECT_EQ(way, -1);
-        }
     }
 }
 
