@@ -30,6 +30,8 @@ CoreModel::step()
 {
     panic_if(done(), "step on a finished core");
     if (idx_ < trace_->size()) {
+        if (idx_ + hintAhead < trace_->size())
+            mem_.hint(id_, (*trace_)[idx_ + hintAhead].addr);
         execOp((*trace_)[idx_++]);
     } else {
         drain();

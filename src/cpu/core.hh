@@ -98,6 +98,12 @@ class CoreModel
     using MinHeap = std::priority_queue<double, std::vector<double>,
                                         std::greater<double>>;
 
+    /**
+     * step() host-prefetches the cache sets of the op this far ahead,
+     * so their blocks are in host cache when it executes.
+     */
+    static constexpr size_t hintAhead = 12;
+
     void execOp(const TraceOp &op);
     void drain();
 

@@ -1,5 +1,8 @@
 #include "mem/cache.hh"
 
+#include <cstring>
+
+#include "common/bitops.hh"
 #include "common/check.hh"
 #include "common/log.hh"
 
@@ -7,7 +10,7 @@ namespace zcomp {
 
 Cache::Cache(std::string name, const CacheConfig &cfg, bool directory)
     : name_(std::move(name)), assoc_(cfg.assoc), directory_(directory),
-      hashIndex_(cfg.hashIndex)
+      hashIndex_(cfg.hashIndex), lru_(cfg.repl == ReplPolicy::LRU)
 {
     uint64_t num_lines = cfg.size / lineBytes;
     fatal_if(num_lines % cfg.assoc != 0,
@@ -17,21 +20,94 @@ Cache::Cache(std::string name, const CacheConfig &cfg, bool directory)
     ZCOMP_CHECK(numSets_ > 0 && assoc_ > 0,
                 "cache %s: degenerate geometry %d sets x %d ways",
                 name_.c_str(), numSets_, assoc_);
-    tags_.assign(num_lines, kInvalidTag);
-    lines_.resize(num_lines);
-    repl_ = ReplacementPolicy::create(cfg.repl, numSets_, assoc_);
+    setMask_ = isPow2(numSets_) ? numSets_ - 1 : 0;
+
+    // Lay out one set block; each array is aligned to its element.
+    auto ways = static_cast<size_t>(assoc_);
+    size_t off = ways * sizeof(uint32_t);
+    flagsOff_ = off;
+    off += ways;
+    if (lru_) {
+        replOff_ = alignUp(off, sizeof(uint64_t));
+        off = replOff_ + ways * sizeof(uint64_t);
+    } else {
+        replOff_ = off;
+        off += ways;
+    }
+    if (directory_) {
+        presenceOff_ = alignUp(off, sizeof(uint16_t));
+        off = presenceOff_ + ways * sizeof(uint16_t);
+    }
+    readyOff_ = alignUp(off, sizeof(double));
+    stride_ = alignUp(readyOff_ + ways * sizeof(double), kHostLine);
+
+    // Plain vector storage (not aligned_alloc) aligned by hand: it
+    // reuses the malloc heap that short-lived hierarchies free.
+    storage_.resize(stride_ * static_cast<size_t>(numSets_) + kHostLine - 1);
+    auto addr = reinterpret_cast<uintptr_t>(storage_.data());
+    base_ = storage_.data() + (alignUp(addr, kHostLine) - addr);
+    clear();
 }
 
-size_t
+void
+Cache::clear()
+{
+    auto ways = static_cast<size_t>(assoc_);
+    for (int s = 0; s < numSets_; s++) {
+        uint8_t *block = field<uint8_t>(s, 0);
+        std::memset(block, 0, stride_);
+        std::memset(block, 0xFF, ways * sizeof(uint32_t));     // kEmptyTag
+        if (!lru_)
+            std::memset(block + replOff_, kMaxRrpv, ways);
+    }
+    clock_ = 0;
+    counters_ = {};
+}
+
+int
 Cache::resident(const CacheSlot &slot) const
 {
     ZCOMP_DCHECK(slot.hit(), "cache %s: slot operation on a miss",
                  name_.c_str());
-    size_t idx = static_cast<size_t>(slot.set) * assoc_ + slot.way;
-    ZCOMP_DCHECK(tags_[idx] == slot.line,
+    ZCOMP_DCHECK(field<const uint32_t>(slot.set, 0)[slot.way] ==
+                     slot.line / lineBytes,
                  "cache %s: stale slot for line 0x%llx", name_.c_str(),
                  static_cast<unsigned long long>(slot.line));
-    return idx;
+    return slot.way;
+}
+
+void
+Cache::markUsed(int set, int way, uint8_t rrpv)
+{
+    if (lru_)
+        field<uint64_t>(set, replOff_)[way] = ++clock_;
+    else
+        field<uint8_t>(set, replOff_)[way] = rrpv;
+}
+
+int
+Cache::pickVictim(int set)
+{
+    if (lru_) {
+        const uint64_t *stamp = field<const uint64_t>(set, replOff_);
+        int v = 0;
+        for (int w = 1; w < assoc_; w++) {
+            if (stamp[w] < stamp[v])
+                v = w;
+        }
+        return v;
+    }
+    // SRRIP: the first way predicted for distant re-reference, aging
+    // every way until one is.
+    uint8_t *rrpv = field<uint8_t>(set, replOff_);
+    while (true) {
+        for (int w = 0; w < assoc_; w++) {
+            if (rrpv[w] >= kMaxRrpv)
+                return w;
+        }
+        for (int w = 0; w < assoc_; w++)
+            rrpv[w]++;
+    }
 }
 
 bool
@@ -42,14 +118,11 @@ Cache::demand(const CacheSlot &slot, bool is_write)
         return false;
     }
     counters_.hits++;
-    Line &l = lines_[resident(slot)];
-    if (l.prefetched) {
+    uint8_t &f = field<uint8_t>(slot.set, flagsOff_)[resident(slot)];
+    if (f & kPrefetched)
         counters_.prefetchUseful++;
-        l.prefetched = false;
-    }
-    if (is_write)
-        l.dirty = true;
-    repl_->onHit(slot.set, slot.way);
+    f = static_cast<uint8_t>((f & ~kPrefetched) | (is_write ? kDirty : 0));
+    markUsed(slot.set, slot.way, 0);
     return true;
 }
 
@@ -57,48 +130,52 @@ CacheVictim
 Cache::fill(CacheSlot &slot, bool dirty, bool is_prefetch, double ready_at)
 {
     CacheVictim victim;
+    uint8_t *flags = field<uint8_t>(slot.set, flagsOff_);
     if (slot.hit()) {
         // Refresh in place (e.g. a demand fill racing a prefetch fill).
-        Line &l = lines_[resident(slot)];
-        l.dirty = l.dirty || dirty;
-        if (!is_prefetch && l.prefetched) {
+        uint8_t &f = flags[resident(slot)];
+        if (dirty)
+            f |= kDirty;
+        if (!is_prefetch && (f & kPrefetched)) {
             counters_.prefetchUseful++;
-            l.prefetched = false;
+            f &= static_cast<uint8_t>(~kPrefetched);
         }
         return victim;
     }
-    ZCOMP_DCHECK(findWay(slot.set, slot.line) < 0,
+    auto tag = static_cast<uint32_t>(slot.line / lineBytes);
+    ZCOMP_DCHECK(findWay(slot.set, tag) < 0,
                  "cache %s: stale miss slot, line 0x%llx is resident",
                  name_.c_str(), static_cast<unsigned long long>(slot.line));
 
     // Prefer the first empty way (it carries the sentinel tag, so this
     // is just another tag scan), else evict the replacement victim.
-    size_t base = static_cast<size_t>(slot.set) * assoc_;
-    int way = findWay(slot.set, kInvalidTag);
+    uint32_t *tags = field<uint32_t>(slot.set, 0);
+    int way = findWay(slot.set, kEmptyTag);
     if (way < 0) {
-        way = repl_->victim(slot.set);
+        way = pickVictim(slot.set);
         ZCOMP_DCHECK(way >= 0 && way < assoc_,
                      "cache %s: replacement chose bad way %d",
                      name_.c_str(), way);
-        Line &v = lines_[base + way];
+        uint8_t f = flags[way];
         victim.valid = true;
-        victim.dirty = v.dirty;
-        victim.wasPrefetch = v.prefetched;
-        victim.addr = tags_[base + way];
-        victim.presence = v.presence;
+        victim.dirty = f & kDirty;
+        victim.wasPrefetch = f & kPrefetched;
+        victim.addr = static_cast<Addr>(tags[way]) * lineBytes;
+        if (directory_)
+            victim.presence = field<uint16_t>(slot.set, presenceOff_)[way];
         counters_.evictions++;
-        if (v.dirty)
+        if (victim.dirty)
             counters_.writebacks++;
-        if (v.prefetched)
+        if (victim.wasPrefetch)
             counters_.prefetchUnused++;
     }
-    Line &l = lines_[base + way];
-    tags_[base + way] = slot.line;
-    l.dirty = dirty;
-    l.prefetched = is_prefetch;
-    l.presence = 0;
-    l.readyAt = ready_at;
-    repl_->onInsert(slot.set, way);
+    tags[way] = tag;
+    flags[way] = static_cast<uint8_t>((dirty ? kDirty : 0) |
+                                      (is_prefetch ? kPrefetched : 0));
+    if (directory_)
+        field<uint16_t>(slot.set, presenceOff_)[way] = 0;
+    field<double>(slot.set, readyOff_)[way] = ready_at;
+    markUsed(slot.set, way, kInsertRrpv);
     if (is_prefetch)
         counters_.prefetchFills++;
     slot.way = way;
@@ -114,15 +191,15 @@ Cache::invalidate(const CacheSlot &slot)
 {
     if (!slot.hit())
         return false;
-    size_t idx = resident(slot);
-    Line &l = lines_[idx];
-    bool was_dirty = l.dirty;
-    if (l.prefetched)
+    int way = resident(slot);
+    uint8_t &f = field<uint8_t>(slot.set, flagsOff_)[way];
+    bool was_dirty = f & kDirty;
+    if (f & kPrefetched)
         counters_.prefetchUnused++;
-    tags_[idx] = kInvalidTag;
-    l.dirty = false;
-    l.prefetched = false;
-    l.presence = 0;
+    field<uint32_t>(slot.set, 0)[way] = kEmptyTag;
+    f = 0;
+    if (directory_)
+        field<uint16_t>(slot.set, presenceOff_)[way] = 0;
     counters_.invalidations++;
     return was_dirty;
 }
@@ -132,17 +209,17 @@ Cache::readyWait(const CacheSlot &slot, double now) const
 {
     if (!slot.hit())
         return 0.0;
-    double ready = lines_[resident(slot)].readyAt;
+    double ready = field<const double>(slot.set, readyOff_)[resident(slot)];
     return ready > now ? ready - now : 0.0;
 }
 
 void
 Cache::takePrefetchFlag(const CacheSlot &slot)
 {
-    Line &l = lines_[resident(slot)];
-    if (l.prefetched) {
+    uint8_t &f = field<uint8_t>(slot.set, flagsOff_)[resident(slot)];
+    if (f & kPrefetched) {
         counters_.prefetchUseful++;
-        l.prefetched = false;
+        f &= static_cast<uint8_t>(~kPrefetched);
     }
 }
 
@@ -150,22 +227,26 @@ void
 Cache::markPresence(const CacheSlot &slot, int core)
 {
     panic_if(!directory_, "cache %s has no directory", name_.c_str());
-    lines_[resident(slot)].presence |= static_cast<uint16_t>(1U << core);
+    field<uint16_t>(slot.set, presenceOff_)[resident(slot)] |=
+        static_cast<uint16_t>(1U << core);
 }
 
 uint16_t
 Cache::presence(const CacheSlot &slot) const
 {
-    return slot.hit() ? lines_[resident(slot)].presence : 0;
+    if (!slot.hit() || !directory_)
+        return 0;
+    return field<const uint16_t>(slot.set, presenceOff_)[resident(slot)];
 }
 
 uint64_t
 Cache::validLines() const
 {
     uint64_t n = 0;
-    for (Addr t : tags_) {
-        if (t != kInvalidTag)
-            n++;
+    for (int s = 0; s < numSets_; s++) {
+        const uint32_t *tags = field<const uint32_t>(s, 0);
+        for (int w = 0; w < assoc_; w++)
+            n += tags[w] != kEmptyTag;
     }
     return n;
 }

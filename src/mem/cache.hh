@@ -1,19 +1,21 @@
 /**
  * @file
  * A set-associative, write-back, write-allocate cache model with
- * pluggable replacement (LRU/SRRIP), prefetch-fill tracking, and an
- * optional per-line presence directory (used by the inclusive shared
- * L3 to back-invalidate private caches).
+ * LRU or SRRIP replacement, prefetch-fill tracking, and an optional
+ * per-line presence directory (used by the inclusive shared L3 to
+ * back-invalidate private caches).
  *
  * The cache stores only tags and state - data always lives in host
  * memory; the timing and traffic consequences of hits, fills,
- * writebacks and invalidations are handled by MemoryHierarchy.
+ * writebacks and invalidations are handled by MemoryHierarchy. Each
+ * modelled set is one 64-byte-aligned host block holding every field
+ * of its ways (DESIGN.md section 4.3b), so a lookup and the slot
+ * operation after it touch adjacent host lines.
  */
 
 #ifndef ZCOMP_MEM_CACHE_HH
 #define ZCOMP_MEM_CACHE_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,7 +23,6 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "mem/addr.hh"
-#include "mem/replacement.hh"
 
 namespace zcomp {
 
@@ -73,8 +74,22 @@ class Cache
   public:
     Cache(std::string name, const CacheConfig &cfg, bool directory);
 
-    /** Find a line's set and way. Pure: updates no state. */
+    // The set blocks are addressed through a pointer into storage_.
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
+
+    /**
+     * Find a line's set and way. Pure: updates no state. Tags hold
+     * 32-bit line numbers, so the line must lie below 2^38 bytes
+     * (always checked: a larger address would alias a smaller one).
+     */
     CacheSlot probe(Addr line) const;
+
+    /**
+     * Ask the host to prefetch the set block a line maps to. Reads
+     * and writes no simulated state; any address is allowed.
+     */
+    void touchSet(Addr line) const;
 
     /**
      * Count a demand access to a probed line. On a hit, updates
@@ -131,39 +146,71 @@ class Cache
     /** Zero every counter; contents and replacement state stay. */
     void resetCounters() { counters_ = {}; }
 
+    /**
+     * Return to the just-constructed state in place: every way empty,
+     * replacement state and LRU clock reset, counters zeroed.
+     */
+    void clear();
+
   private:
     /**
-     * The tag of an empty way. Lookups are a pure tag-array probe (no
-     * valid bit): line addresses are 64-byte aligned so they can never
-     * equal the all-ones sentinel, making "tag matches" equivalent to
-     * "valid and tag matches". The tags of each set are contiguous, so
-     * a probe scans one short array.
+     * The tag of an empty way. Tags are line numbers (address / 64),
+     * which probe() keeps below this sentinel, so "tag matches" is
+     * equivalent to "valid and tag matches" with no valid bit.
      */
-    static constexpr Addr kInvalidTag = ~Addr{0};
+    static constexpr uint32_t kEmptyTag = ~uint32_t{0};
 
-    /** Per-line state other than the tag (tag lives in tags_). */
-    struct Line
+    /** Per-way flag bits. */
+    static constexpr uint8_t kDirty = 1;
+    static constexpr uint8_t kPrefetched = 2;  //!< filled by prefetch, unused
+
+    /** SRRIP: 2-bit re-reference prediction values. */
+    static constexpr uint8_t kMaxRrpv = 3;
+    static constexpr uint8_t kInsertRrpv = 2;
+
+    /** Bytes per host line: the block alignment and prefetch stride. */
+    static constexpr size_t kHostLine = 64;
+
+    /** Field `off` of set `set`'s block, as an array of T (one per way). */
+    template <typename T>
+    T *
+    field(int set, size_t off) const
     {
-        bool dirty = false;
-        bool prefetched = false;    //!< filled by prefetch, not yet used
-        uint16_t presence = 0;      //!< cores holding this line (L3 only)
-        double readyAt = 0.0;       //!< fill-data arrival time
-    };
+        return reinterpret_cast<T *>(base_ +
+                                     static_cast<size_t>(set) * stride_ +
+                                     off);
+    }
 
-    int setIndex(Addr line) const;
-    int findWay(int set, Addr tag) const;
+    int setIndex(uint64_t ln) const;
+    int findWay(int set, uint32_t tag) const;
 
-    /** Index of a hit slot's line; checks the slot is not stale. */
-    size_t resident(const CacheSlot &slot) const;
+    /** Way of a hit slot; checks the slot is not stale. */
+    int resident(const CacheSlot &slot) const;
+
+    /** Update replacement state for a hit (rrpv 0) or an insert. */
+    void markUsed(int set, int way, uint8_t rrpv);
+
+    /** Choose the way to evict from a full set. */
+    int pickVictim(int set);
 
     std::string name_;
     int numSets_;
+    uint64_t setMask_ = 0;  //!< numSets_ - 1 if a power of two (> 1), else 0
     int assoc_;
     bool directory_;
     bool hashIndex_ = false;
-    std::vector<Addr> tags_;        //!< [set * assoc + way], kInvalidTag = empty
-    std::vector<Line> lines_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    bool lru_ = false;
+    // Byte offsets of the per-way arrays within a set block: the tags
+    // start it, then flags, replacement state, presence (directory
+    // only) and ready times. stride_ is the block size.
+    size_t flagsOff_ = 0;
+    size_t replOff_ = 0;
+    size_t presenceOff_ = 0;
+    size_t readyOff_ = 0;
+    size_t stride_ = 0;
+    std::vector<uint8_t> storage_;  //!< every set block, plus alignment slack
+    uint8_t *base_ = nullptr;       //!< first block, 64-byte aligned
+    uint64_t clock_ = 0;            //!< LRU stamp source
     CacheCounters counters_;
 };
 
@@ -172,9 +219,8 @@ class Cache
 // inlines into the hierarchy walk.
 
 inline int
-Cache::setIndex(Addr line) const
+Cache::setIndex(uint64_t ln) const
 {
-    uint64_t ln = line / lineBytes;
     if (hashIndex_) {
         // Strong multiplicative mix (Intel-LLC style complex set
         // hashing): parallel streams at power-of-two strides spread
@@ -185,14 +231,16 @@ Cache::setIndex(Addr line) const
         ln *= 0xBF58476D1CE4E5B9ULL;
         ln ^= ln >> 32;
     }
-    return static_cast<int>(ln % static_cast<uint64_t>(numSets_));
+    // Table 1's set counts are powers of two: mask, don't divide.
+    return static_cast<int>(setMask_ ? ln & setMask_
+                                     : ln % static_cast<uint64_t>(numSets_));
 }
 
-/** First way of `set` holding `tag` (kInvalidTag: an empty way), or -1. */
+/** First way of `set` holding `tag` (kEmptyTag: an empty way), or -1. */
 inline int
-Cache::findWay(int set, Addr tag) const
+Cache::findWay(int set, uint32_t tag) const
 {
-    const Addr *tags = tags_.data() + static_cast<size_t>(set) * assoc_;
+    const uint32_t *tags = field<const uint32_t>(set, 0);
     for (int w = 0; w < assoc_; w++) {
         if (tags[w] == tag)
             return w;
@@ -203,9 +251,21 @@ Cache::findWay(int set, Addr tag) const
 inline CacheSlot
 Cache::probe(Addr line) const
 {
-    ZCOMP_DCHECK(line != kInvalidTag, "probe of the invalid-tag sentinel");
-    int set = setIndex(line);
-    return {line, set, findWay(set, line)};
+    uint64_t ln = line / lineBytes;
+    ZCOMP_CHECK(ln < kEmptyTag,
+                "cache %s: line 0x%llx is beyond the 2^38-byte address "
+                "space of 32-bit tags",
+                name_.c_str(), static_cast<unsigned long long>(line));
+    int set = setIndex(ln);
+    return {line, set, findWay(set, static_cast<uint32_t>(ln))};
+}
+
+inline void
+Cache::touchSet(Addr line) const
+{
+    const uint8_t *block = field<const uint8_t>(setIndex(line / lineBytes), 0);
+    for (size_t off = 0; off < stride_; off += kHostLine)
+        __builtin_prefetch(block + off);
 }
 
 } // namespace zcomp

@@ -240,6 +240,10 @@ MemoryHierarchy::runL2Prefetch(int core, Addr line, double now)
     prefetchScratch_.clear();
     l2Pref_[uc].onAccess(line, prefetchScratch_);
     for (Addr pf : prefetchScratch_) {
+        l2_[uc]->touchSet(pf);
+        l3_->touchSet(pf);
+    }
+    for (Addr pf : prefetchScratch_) {
         CacheSlot l2 = l2_[uc]->probe(pf);
         if (l2.hit())
             continue;
@@ -506,15 +510,12 @@ MemoryHierarchy::resetStats()
 void
 MemoryHierarchy::resetAll()
 {
-    // Rebuild the caches from scratch: simplest correct flush.
     for (int c = 0; c < cfg_.numCores; c++) {
         auto uc = static_cast<size_t>(c);
-        l1_[uc] = std::make_unique<Cache>(format("l1.%d", c), cfg_.l1,
-                                          false);
-        l2_[uc] = std::make_unique<Cache>(format("l2.%d", c), cfg_.l2,
-                                          false);
+        l1_[uc]->clear();
+        l2_[uc]->clear();
     }
-    l3_ = std::make_unique<Cache>("l3", cfg_.l3, true);
+    l3_->clear();
     std::fill(l1Busy_.begin(), l1Busy_.end(), 0.0);
     std::fill(l2Busy_.begin(), l2Busy_.end(), 0.0);
     std::fill(l3SliceBusy_.begin(), l3SliceBusy_.end(), 0.0);

@@ -116,8 +116,21 @@ class MemoryHierarchy
     /** Clear counters but keep cache contents (post-warmup). */
     void resetStats();
 
-    /** Drop all cache contents and counters. */
+    /** Drop all cache contents and counters, in place. */
     void resetAll();
+
+    /**
+     * Host-prefetch the L1, L2 and L3 set blocks a core's access to
+     * `addr` will probe. Reads and writes no simulated state.
+     */
+    void
+    hint(int core, Addr addr) const
+    {
+        Addr line = lineAddr(addr);
+        l1_[static_cast<size_t>(core)]->touchSet(line);
+        l2_[static_cast<size_t>(core)]->touchSet(line);
+        l3_->touchSet(line);
+    }
 
     const ArchConfig &config() const { return cfg_; }
     const Dram &dram() const { return dram_; }

@@ -1,42 +1,21 @@
 #include "mem/prefetcher.hh"
 
+#include <algorithm>
+
 namespace zcomp {
 
 StreamPrefetcher::StreamPrefetcher(const PrefetchConfig &cfg)
-    : cfg_(cfg), streams_(static_cast<size_t>(cfg.l2StreamTableSize))
+    : cfg_(cfg), pages_(static_cast<size_t>(cfg.l2StreamTableSize), kFree),
+      streams_(pages_.size())
 {
 }
 
 void
 StreamPrefetcher::reset()
 {
-    for (auto &s : streams_)
-        s.valid = false;
+    std::fill(pages_.begin(), pages_.end(), kFree);
     issued_ = 0;
     clock_ = 0;
-}
-
-StreamPrefetcher::Stream *
-StreamPrefetcher::find(Addr page)
-{
-    for (auto &s : streams_) {
-        if (s.valid && s.page == page)
-            return &s;
-    }
-    return nullptr;
-}
-
-StreamPrefetcher::Stream *
-StreamPrefetcher::allocate()
-{
-    Stream *lru = &streams_[0];
-    for (auto &s : streams_) {
-        if (!s.valid)
-            return &s;
-        if (s.lastUse < lru->lastUse)
-            lru = &s;
-    }
-    return lru;
 }
 
 void
@@ -45,42 +24,54 @@ StreamPrefetcher::onAccess(Addr line, std::vector<Addr> &out)
     clock_++;
     Addr page = alignDown(line, pageBytes);
 
-    Stream *s = find(page);
-    if (!s) {
+    // Nearly every access falls in a page that already has a stream,
+    // found by a scan of the page array alone.
+    size_t n = pages_.size();
+    size_t i = 0;
+    while (i < n && pages_[i] != page)
+        i++;
+    if (i == n) {
+        // A new page: one pass finds the trackers of both neighbouring
+        // pages and the entry a new stream would take (the first free
+        // one, else the first least recently used); nothing changes the
+        // table until all three are known. The lower neighbour is
+        // clamped at address zero: page - pageBytes would wrap.
+        size_t prev = n, next = n, vacant = n, lru = 0;
+        for (size_t j = 0; j < n; j++) {
+            Addr p = pages_[j];
+            if (p == kFree) {
+                vacant = std::min(vacant, j);
+                continue;
+            }
+            if (page >= pageBytes && p == page - pageBytes)
+                prev = std::min(prev, j);
+            else if (p == page + pageBytes)
+                next = std::min(next, j);
+            if (streams_[j].lastUse < streams_[lru].lastUse)
+                lru = j;
+        }
         // A stream crossing into the next page continues seamlessly:
         // retarget the tracker that was following the previous page.
-        // Page-neighbour lookups are clamped at the address-space
-        // edges - page - pageBytes near 0 (and lastLine - lineBytes
-        // below) would otherwise wrap on unsigned Addr.
-        Stream *prev =
-            page >= pageBytes ? find(page - pageBytes) : nullptr;
-        if (prev && prev->direction > 0 && prev->confidence > 0 &&
-            line == prev->lastLine + lineBytes) {
-            prev->page = page;
-            s = prev;
-        } else {
-            Stream *next = find(page + pageBytes);
-            if (next && next->direction < 0 && next->confidence > 0 &&
-                next->lastLine >= lineBytes &&
-                line == next->lastLine - lineBytes) {
-                next->page = page;
-                s = next;
-            }
+        if (prev < n && streams_[prev].direction > 0 &&
+            streams_[prev].confidence > 0 &&
+            line == streams_[prev].lastLine + lineBytes) {
+            i = prev;
+        } else if (next < n && streams_[next].direction < 0 &&
+                   streams_[next].confidence > 0 &&
+                   streams_[next].lastLine >= lineBytes &&
+                   line == streams_[next].lastLine - lineBytes) {
+            i = next;
         }
+        if (i == n) {
+            i = vacant < n ? vacant : lru;
+            pages_[i] = page;
+            streams_[i] = {line, line + lineBytes, 1, 0, clock_};
+            return;
+        }
+        pages_[i] = page;
     }
 
-    if (!s) {
-        s = allocate();
-        s->valid = true;
-        s->page = page;
-        s->lastLine = line;
-        s->nextIssue = line + lineBytes;
-        s->direction = 1;
-        s->confidence = 0;
-        s->lastUse = clock_;
-        return;
-    }
-
+    Stream *s = &streams_[i];
     s->lastUse = clock_;
     int64_t delta = static_cast<int64_t>(line) -
                     static_cast<int64_t>(s->lastLine);

@@ -52,8 +52,6 @@ class StreamPrefetcher
   private:
     struct Stream
     {
-        bool valid = false;
-        Addr page = 0;          //!< 4 KiB region being tracked
         Addr lastLine = 0;      //!< most recent demand line
         Addr nextIssue = 0;     //!< next line to prefetch
         int direction = 1;      //!< +1 ascending, -1 descending
@@ -63,10 +61,16 @@ class StreamPrefetcher
 
     static constexpr uint64_t pageBytes = prefetchPageBytes;
 
-    Stream *find(Addr page);
-    Stream *allocate();
+    /** pages_ entry of a free stream; never a 4 KiB-aligned page. */
+    static constexpr Addr kFree = ~Addr{0};
 
     PrefetchConfig cfg_;
+    /**
+     * 4 KiB region each stream tracks, apart from the rest of its
+     * state so the per-access lookup scans one short array. A page is
+     * tracked by at most one stream.
+     */
+    std::vector<Addr> pages_;
     std::vector<Stream> streams_;
     uint64_t clock_ = 0;
     uint64_t issued_ = 0;

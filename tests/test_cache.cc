@@ -197,6 +197,90 @@ TEST(Cache, SrripCacheBasics)
     EXPECT_TRUE(contains(c, 0x000));
 }
 
+// ---------------------------------------------------------------------
+// Replacement: LRU (Table 1's L1) and SRRIP (L2, L3) victim choice,
+// observed through which line a fill into a full set displaces.
+// ---------------------------------------------------------------------
+
+TEST(Lru, EvictsLeastRecentlyUsed)
+{
+    Cache c("t", tinyCache(4, 4), false);
+    for (Addr a : {0x000, 0x040, 0x080, 0x0C0})
+        insert(c, a, false, false);
+    // Touch 0x000, 0x080, 0x0C0 -> 0x040 is LRU.
+    for (Addr a : {0x000, 0x080, 0x0C0})
+        access(c, a, false);
+    EXPECT_EQ(insert(c, 0x100, false, false).addr, 0x040u);
+}
+
+TEST(Lru, HitRefreshesRecency)
+{
+    Cache c("t", tinyCache(2, 2), false);
+    insert(c, 0x000, false, false);
+    insert(c, 0x040, false, false);
+    access(c, 0x000, false);
+    EXPECT_EQ(insert(c, 0x080, false, false).addr, 0x040u);
+    // 0x080 is now the most recent; a hit makes 0x000 more recent.
+    access(c, 0x000, false);
+    EXPECT_EQ(insert(c, 0x0C0, false, false).addr, 0x080u);
+}
+
+TEST(Lru, SetsAreIndependent)
+{
+    // 2 sets x 2 ways: even line numbers map to set 0, odd to set 1.
+    Cache c("t", tinyCache(4, 2), false);
+    insert(c, 0x000, false, false);
+    insert(c, 0x080, false, false);
+    insert(c, 0x0C0, false, false);     // set 1, older
+    insert(c, 0x040, false, false);     // set 1, newer
+    access(c, 0x000, false);
+    EXPECT_EQ(insert(c, 0x100, false, false).addr, 0x080u);
+    // Hits and fills in set 0 must not affect set 1.
+    EXPECT_EQ(insert(c, 0x140, false, false).addr, 0x0C0u);
+}
+
+TEST(Srrip, InsertsAtLongRereference)
+{
+    Cache c("t", tinyCache(4, 4, ReplPolicy::SRRIP), false);
+    for (Addr a : {0x000, 0x040, 0x080, 0x0C0})
+        insert(c, a, false, false);
+    // Nobody at the distant RRPV: aging takes every way there, and
+    // way 0 goes first.
+    EXPECT_EQ(insert(c, 0x100, false, false).addr, 0x000u);
+    // The new line went in below distant, so the next victim is an
+    // aged old line, not the newest one.
+    EXPECT_EQ(insert(c, 0x140, false, false).addr, 0x040u);
+}
+
+TEST(Srrip, HitPromotesToZeroAndAgingWorks)
+{
+    Cache c("t", tinyCache(2, 2, ReplPolicy::SRRIP), false);
+    insert(c, 0x000, false, false);     // 2
+    insert(c, 0x040, false, false);     // 2
+    access(c, 0x000, false);            // 0
+    // Nobody at 3: aging twice takes 0x040 there first.
+    EXPECT_EQ(insert(c, 0x080, false, false).addr, 0x040u);
+    // The hit line keeps its head start over the newly inserted one.
+    EXPECT_EQ(insert(c, 0x0C0, false, false).addr, 0x080u);
+}
+
+TEST(Srrip, ScanResistance)
+{
+    // A hot line that is re-referenced stays resident while scan fills
+    // keep replacing each other - the signature SRRIP behaviour.
+    Cache c("t", tinyCache(2, 2, ReplPolicy::SRRIP), false);
+    insert(c, 0x000, false, false);
+    Addr scan = 0x040;
+    insert(c, scan, false, false);
+    for (int i = 0; i < 5; i++) {
+        access(c, 0x000, false);
+        Addr next = scan + 0x80;
+        EXPECT_EQ(insert(c, next, false, false).addr, scan);
+        scan = next;
+    }
+    EXPECT_TRUE(contains(c, 0x000));
+}
+
 TEST(Cache, StaleSlotIsCaughtInDebug)
 {
     Cache c("t", tinyCache(8, 2), false);
@@ -339,4 +423,143 @@ TEST(CacheProperty, LruMatchesReferenceModel)
     }
     EXPECT_GT(dut.counters().hits, 0u);
     EXPECT_GT(dut.counters().misses, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Differential test: the set-blocked Cache against the structure-of-
+// arrays reference model (cache_ref.hh) over random operation mixes.
+// Block offsets are computed from the associativity at run time, so
+// the odd geometries are the ones that matter.
+// ---------------------------------------------------------------------
+
+#include <array>
+
+#include "cache_ref.hh"
+
+namespace {
+
+std::array<uint64_t, 8>
+counterFields(const CacheCounters &n)
+{
+    return {n.hits, n.misses, n.writebacks, n.prefetchFills,
+            n.prefetchUseful, n.prefetchUnused, n.invalidations,
+            n.evictions};
+}
+
+} // namespace
+
+namespace {
+
+/** Drive a Cache and a RefCache with one random operation mix. */
+void
+expectSameAsReference(CacheConfig cfg, bool directory, Rng &rng)
+{
+    Cache dut("dut", cfg, directory);
+    RefCache ref(cfg, directory);
+    // Three capacities' worth of lines, at the bottom of the address
+    // space or just under the top line 32-bit tags can hold.
+    uint64_t pool = 3 * cfg.size / lineBytes;
+    Addr high = (1ull << 38) - (pool + 1) * lineBytes;
+    int evictions = 0;
+    for (int i = 0; i < 3000; i++) {
+        SCOPED_TRACE(i);
+        Addr line =
+            (rng.chance(0.5) ? 0 : high) + rng.below(pool) * lineBytes;
+        CacheSlot a = dut.probe(line);
+        CacheSlot b = ref.probe(line);
+        ASSERT_EQ(a.set, b.set);
+        ASSERT_EQ(a.way, b.way);
+        double now = static_cast<double>(rng.below(1000));
+        switch (rng.below(8)) {
+          case 0:
+          case 1: {
+            bool w = rng.chance(0.3);
+            ASSERT_EQ(dut.demand(a, w), ref.demand(b, w));
+            break;
+          }
+          case 2:
+          case 3: {
+            bool dirty = rng.chance(0.3);
+            bool pf = rng.chance(0.4);
+            CacheVictim va = dut.fill(a, dirty, pf, now);
+            CacheVictim vb = ref.fill(b, dirty, pf, now);
+            ASSERT_EQ(a.way, b.way);
+            ASSERT_EQ(va.valid, vb.valid);
+            ASSERT_EQ(va.dirty, vb.dirty);
+            ASSERT_EQ(va.wasPrefetch, vb.wasPrefetch);
+            ASSERT_EQ(va.addr, vb.addr);
+            ASSERT_EQ(va.presence, vb.presence);
+            evictions += va.valid;
+            break;
+          }
+          case 4:
+            ASSERT_EQ(dut.invalidate(a), ref.invalidate(b));
+            break;
+          case 5:
+            ASSERT_EQ(dut.readyWait(a, now), ref.readyWait(b, now));
+            if (a.hit()) {
+                dut.takePrefetchFlag(a);
+                ref.takePrefetchFlag(b);
+            }
+            break;
+          case 6:
+            if (directory && a.hit()) {
+                int core = static_cast<int>(rng.below(16));
+                dut.markPresence(a, core);
+                ref.markPresence(b, core);
+            }
+            ASSERT_EQ(dut.presence(a), ref.presence(b));
+            break;
+          default:
+            // Rarely: an in-place reset must equal a fresh cache.
+            if (rng.chance(0.01)) {
+                dut.clear();
+                ref = RefCache(cfg, directory);
+            }
+            break;
+        }
+        ASSERT_EQ(counterFields(dut.counters()),
+                  counterFields(ref.counters()));
+    }
+    EXPECT_EQ(dut.validLines(), ref.validLines());
+    EXPECT_GT(evictions, 0);
+}
+
+} // namespace
+
+TEST(CacheProperty, SetBlocksMatchSoaReference)
+{
+    // Set counts: a power of two (masked index) and not (modulo).
+    Rng rng(20261017);
+    for (int sets : {8, 6}) {
+        for (int assoc : {1, 3, 8, 12, 16, 20}) {
+            for (ReplPolicy repl : {ReplPolicy::LRU, ReplPolicy::SRRIP}) {
+                for (int variant = 0; variant < 4; variant++) {
+                    bool directory = variant & 1;
+                    CacheConfig cfg = tinyCache(sets * assoc, assoc, repl);
+                    cfg.hashIndex = variant & 2;
+                    SCOPED_TRACE(testing::Message()
+                                 << sets << " sets x " << assoc << " ways, "
+                                 << (repl == ReplPolicy::LRU ? "LRU"
+                                                             : "SRRIP")
+                                 << ", directory " << directory
+                                 << ", hashIndex " << cfg.hashIndex);
+                    expectSameAsReference(cfg, directory, rng);
+                    if (HasFatalFailure())
+                        return;
+                }
+            }
+        }
+    }
+}
+
+TEST(CacheDeath, LineBeyondTagRangeAborts)
+{
+    // Tags are 32-bit line numbers and all-ones marks an empty way, so
+    // the last line below 2^38 bytes is the first one a probe refuses;
+    // the check is on in every build type.
+    Cache c("t", tinyCache(8, 2), false);
+    EXPECT_TRUE(c.probe((0xFFFFFFFFull - 1) * lineBytes).way < 0);
+    EXPECT_DEATH(c.probe(0xFFFFFFFFull * lineBytes), "32-bit tags");
+    EXPECT_DEATH(c.probe(1ull << 40), "32-bit tags");
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "common/rng.hh"
 #include "mem/hierarchy.hh"
 
 using namespace zcomp;
@@ -230,6 +233,69 @@ TEST(Hierarchy, ResetAllDropsContents)
     mem.access(0, 0x100000, 64, false, 0.0, 1);
     mem.resetAll();
     EXPECT_EQ(mem.access(0, 0x100000, 64, false, 1.0, 1).level, 4);
+}
+
+TEST(Hierarchy, ResetAllMatchesFreshHierarchy)
+{
+    // resetAll() clears the caches in place; afterwards the hierarchy
+    // must behave exactly like a newly constructed one: same results
+    // for the same traffic and the same counters.
+    ArchConfig cfg = smallCfg();
+    cfg.prefetch.l1IpStride = true;
+    cfg.prefetch.l2Stream = true;
+    auto traffic = [](MemoryHierarchy &mem) {
+        // Two cores: ascending and descending streams, strided stores,
+        // reuse of a hot region shared by both, and a cold tail.
+        std::vector<AccessResult> out;
+        Rng rng(41);
+        double t = 0;
+        for (int i = 0; i < 20000; i++) {
+            int core = i % 2;
+            Addr a = 0;
+            uint32_t pc = 1;
+            switch (rng.below(4)) {
+              case 0:
+                a = 0x100000 + static_cast<Addr>(i) * 32;
+                pc = 2;
+                break;
+              case 1:
+                a = 0x900000 - static_cast<Addr>(i) * 64;
+                pc = 3;
+                break;
+              case 2:
+                a = 0x400000 + rng.below(512) * 64;
+                break;
+              default:
+                a = 0x2000000 + rng.below(1 << 16) * 64;
+                pc = 4;
+                break;
+            }
+            out.push_back(mem.access(core, a, 64, rng.chance(0.3), t, pc));
+            t += 2.0;
+        }
+        return out;
+    };
+    auto dump = [](const MemoryHierarchy &mem) {
+        StatGroup g("mem");
+        mem.dumpStats(g);
+        std::ostringstream os;
+        g.dump(os);
+        return os.str();
+    };
+
+    MemoryHierarchy reused(cfg);
+    traffic(reused);
+    reused.resetAll();
+    MemoryHierarchy fresh(cfg);
+    std::vector<AccessResult> a = traffic(reused);
+    std::vector<AccessResult> b = traffic(fresh);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); i++) {
+        ASSERT_EQ(a[i].level, b[i].level) << "access " << i;
+        ASSERT_EQ(a[i].latency, b[i].latency) << "access " << i;
+    }
+    EXPECT_EQ(dump(reused), dump(fresh));
+    EXPECT_GT(fresh.snapshot().l2PrefIssued, 0u);
 }
 
 TEST(Hierarchy, PrefetchThrottledUnderDramSaturation)

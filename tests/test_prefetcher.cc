@@ -236,3 +236,194 @@ TEST(IpStridePrefetcher, ChangingStrideRetrains)
     pf.onAccess(3, 0x2200, out);    // conf 2 -> issue
     EXPECT_FALSE(out.empty());
 }
+
+// ---------------------------------------------------------------------
+// Differential test: StreamPrefetcher's one-pass table lookup against
+// the four-lookup form it replaced (find the page, find the page below,
+// find the page above, then allocate), kept here as the reference.
+// ---------------------------------------------------------------------
+
+#include <algorithm>
+
+#include "common/rng.hh"
+
+namespace {
+
+class RefStreamPrefetcher
+{
+  public:
+    explicit RefStreamPrefetcher(const PrefetchConfig &cfg)
+        : cfg_(cfg), streams_(static_cast<size_t>(cfg.l2StreamTableSize))
+    {}
+
+    uint64_t issued() const { return issued_; }
+
+    void
+    onAccess(Addr line, std::vector<Addr> &out)
+    {
+        clock_++;
+        Addr page = alignDown(line, pageBytes);
+        Stream *s = find(page);
+        if (!s) {
+            Stream *prev =
+                page >= pageBytes ? find(page - pageBytes) : nullptr;
+            if (prev && prev->direction > 0 && prev->confidence > 0 &&
+                line == prev->lastLine + lineBytes) {
+                prev->page = page;
+                s = prev;
+            } else {
+                Stream *next = find(page + pageBytes);
+                if (next && next->direction < 0 && next->confidence > 0 &&
+                    next->lastLine >= lineBytes &&
+                    line == next->lastLine - lineBytes) {
+                    next->page = page;
+                    s = next;
+                }
+            }
+        }
+        if (!s) {
+            s = allocate();
+            *s = {true, page, line, line + lineBytes, 1, 0, clock_};
+            return;
+        }
+        s->lastUse = clock_;
+        int64_t delta = static_cast<int64_t>(line) -
+                        static_cast<int64_t>(s->lastLine);
+        if (delta == 0)
+            return;
+        int dir = delta > 0 ? 1 : -1;
+        bool follows = dir == s->direction &&
+                       (delta > 0 ? delta : -delta) <=
+                           static_cast<int64_t>(2 * lineBytes);
+        if (follows) {
+            if (s->confidence < 4)
+                s->confidence++;
+        } else {
+            s->direction = dir;
+            s->confidence = 1;
+            s->nextIssue = dir > 0 ? line + lineBytes
+                                   : (line >= lineBytes ? line - lineBytes
+                                                        : Addr(0));
+        }
+        s->lastLine = line;
+        if (s->confidence < 2)
+            return;
+        Addr dist_bytes = static_cast<Addr>(cfg_.l2Distance) * lineBytes;
+        if (s->direction > 0) {
+            Addr limit = line + dist_bytes;
+            if (s->nextIssue <= line)
+                s->nextIssue = line + lineBytes;
+            for (int i = 0; i < cfg_.l2Degree; i++) {
+                if (s->nextIssue > limit)
+                    break;
+                out.push_back(s->nextIssue);
+                issued_++;
+                s->nextIssue += lineBytes;
+            }
+        } else {
+            if (line < lineBytes)
+                return;
+            Addr limit = line > dist_bytes ? line - dist_bytes : Addr(0);
+            if (s->nextIssue >= line)
+                s->nextIssue = line - lineBytes;
+            for (int i = 0; i < cfg_.l2Degree; i++) {
+                if (s->nextIssue < limit)
+                    break;
+                out.push_back(s->nextIssue);
+                issued_++;
+                if (s->nextIssue < lineBytes)
+                    break;
+                s->nextIssue -= lineBytes;
+            }
+        }
+    }
+
+  private:
+    struct Stream
+    {
+        bool valid = false;
+        Addr page = 0;
+        Addr lastLine = 0;
+        Addr nextIssue = 0;
+        int direction = 1;
+        int confidence = 0;
+        uint64_t lastUse = 0;
+    };
+
+    static constexpr uint64_t pageBytes = prefetchPageBytes;
+
+    Stream *
+    find(Addr page)
+    {
+        for (auto &s : streams_) {
+            if (s.valid && s.page == page)
+                return &s;
+        }
+        return nullptr;
+    }
+
+    Stream *
+    allocate()
+    {
+        Stream *lru = &streams_[0];
+        for (auto &s : streams_) {
+            if (!s.valid)
+                return &s;
+            if (s.lastUse < lru->lastUse)
+                lru = &s;
+        }
+        return lru;
+    }
+
+    PrefetchConfig cfg_;
+    std::vector<Stream> streams_;
+    uint64_t clock_ = 0;
+    uint64_t issued_ = 0;
+};
+
+} // namespace
+
+TEST(StreamPrefetcher, OnePassLookupMatchesReference)
+{
+    // Table size 4 is smaller than the number of live streams below,
+    // so allocation keeps falling back to the least recently used.
+    for (int table : {32, 4}) {
+        SCOPED_TRACE(table);
+        PrefetchConfig cfg;
+        cfg.l2StreamTableSize = table;
+        StreamPrefetcher dut(cfg);
+        RefStreamPrefetcher ref(cfg);
+        Rng rng(static_cast<uint64_t>(table));
+        // Up and down streams that cross 4 KiB pages, interleaved with
+        // random lines over a few neighbouring pages. up[2] steps one
+        // line at a time from the top of the address space, wrapping
+        // through page 0, which has no page below it.
+        Addr up[3] = {0x100F00, 0x300000, 0xFFFFFFFFFFFFE000};
+        Addr down[3] = {0x2000C0, 0x500040, 0x9100};
+        uint64_t issued = 0;
+        for (int i = 0; i < 20000; i++) {
+            Addr line = 0;
+            uint64_t pick = rng.below(8);
+            if (pick < 3) {
+                line = up[pick];
+                up[pick] += lineBytes * (pick == 2 ? 1 : 1 + rng.below(2));
+            } else if (pick < 6) {
+                line = down[pick - 3];
+                down[pick - 3] -= std::min<Addr>(down[pick - 3],
+                                                 lineBytes *
+                                                     (1 + rng.below(2)));
+            } else {
+                line = 0x700000 + rng.below(4 * prefetchPageBytes /
+                                            lineBytes) * lineBytes;
+            }
+            std::vector<Addr> a, b;
+            dut.onAccess(line, a);
+            ref.onAccess(line, b);
+            ASSERT_EQ(a, b) << "access " << i << " line 0x" << std::hex
+                            << line;
+            issued += a.size();
+        }
+        EXPECT_EQ(dut.issued(), ref.issued());
+        EXPECT_GT(issued, 1000u);
+    }
+}

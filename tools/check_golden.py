@@ -13,6 +13,8 @@ committed golden file:
                                 --metrics run (sampling must not
                                 perturb the simulation)
   bench_ablation_prefetch.txt   both prefetchers on and off
+  bench_ablation_parallel.txt   the Fig 12 ReLU kernels replayed on a
+                                1-core and a 16-core machine
 
 bench_smoke's trailing "wall ms" column is host time, so its stdout is
 compared with trailing digits stripped from every line (the same
@@ -51,6 +53,9 @@ def runs(tmp):
     out.append(("bench_ablation_prefetch", "bench_ablation_prefetch.txt",
                 ["bench_ablation_prefetch", "--jobs", "1"], None,
                 lambda s: s))
+    out.append(("bench_ablation_parallel", "bench_ablation_parallel.txt",
+                ["bench_ablation_parallel", "--jobs", "1"], None,
+                lambda s: s))
     return out
 
 
@@ -82,8 +87,8 @@ def main():
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         todo = runs(tmp)
-        # The ablation run is the longest; a few concurrent runs keep
-        # the whole check near its wall time.
+        # The ablation runs are the longest; a few concurrent runs keep
+        # the whole check near their wall time.
         with concurrent.futures.ThreadPoolExecutor(3) as pool:
             errors = [e for e in pool.map(
                 lambda r: check(args.bench_dir, args.golden_dir, r),
