@@ -8,6 +8,7 @@
 #include "cachecomp/zvc.hh"
 #include "common/error.hh"
 #include "common/log.hh"
+#include "isa/dtype.hh"
 
 namespace zcomp {
 
@@ -100,7 +101,8 @@ zcompLineBytes(const uint8_t *line)
         std::memcpy(&word, line + w * 4, 4);
         nnz += word != 0;
     }
-    return std::min(schemeLineBytes, 2 + nnz * 4);
+    return std::min(schemeLineBytes,
+                    headerBytes(ElemType::F32) + nnz * 4);
 }
 
 void

@@ -11,9 +11,6 @@
  *    (integer test), LTEZ keeps raw != 0 && sign-bit clear, which for
  *    an N-bit lane is exactly the signed integer compare lane > 0.
  *  - pack/unpack: exact byte moves; no lane is reinterpreted as FP.
- *  - countNonzeroF32/vecNnzF32: the scalar loops use `d[i] != 0.0f`,
- *    i.e. an IEEE unordered-quiet NEQ (-0.0f is zero, NaN is nonzero)
- *    == _CMP_NEQ_UQ.
  *  - axpyF32/dotPanel16F32: the build's baseline ISA has no FMA, so
  *    scalar code compiles to separate multiply + add; the kernels use
  *    separate _mm*_mul_ps / _mm*_add_ps in the same operand order and
@@ -167,47 +164,6 @@ unpackLanes4Avx2(const uint8_t *payload, uint32_t header16, uint8_t *out)
 }
 
 __attribute__((target("avx2")))
-size_t
-countNonzeroF32Avx2(const float *d, size_t n)
-{
-    const __m256 zero = _mm256_setzero_ps();
-    size_t nnz = 0;
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 v = _mm256_loadu_ps(d + i);
-        nnz += __builtin_popcount(static_cast<uint32_t>(
-            _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_NEQ_UQ))));
-    }
-    if (i < n) {
-        const int rem = static_cast<int>(n - i);
-        const __m256 v = _mm256_maskload_ps(
-            d + i,
-            _mm256_load_si256(
-                reinterpret_cast<const __m256i *>(g_avx2.cntMask[rem])));
-        // Masked-off lanes load as +0.0f and contribute no NEQ bits.
-        nnz += __builtin_popcount(static_cast<uint32_t>(
-            _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_NEQ_UQ))));
-    }
-    return nnz;
-}
-
-__attribute__((target("avx2")))
-void
-vecNnzF32Avx2(const float *d, size_t vecs, uint16_t *out)
-{
-    const __m256 zero = _mm256_setzero_ps();
-    for (size_t v = 0; v < vecs; v++) {
-        const float *p = d + v * 16;
-        const uint32_t lo = static_cast<uint32_t>(_mm256_movemask_ps(
-            _mm256_cmp_ps(_mm256_loadu_ps(p), zero, _CMP_NEQ_UQ)));
-        const uint32_t hi = static_cast<uint32_t>(_mm256_movemask_ps(
-            _mm256_cmp_ps(_mm256_loadu_ps(p + 8), zero, _CMP_NEQ_UQ)));
-        out[v] = static_cast<uint16_t>(__builtin_popcount(lo) +
-                                       __builtin_popcount(hi));
-    }
-}
-
-__attribute__((target("avx2")))
 void
 axpyF32Avx2(float av, const float *b, float *c, size_t n)
 {
@@ -311,40 +267,6 @@ unpackLanesAvx512(const uint8_t *payload, int elemBytes, uint64_t header,
             static_cast<__mmask8>(header), payload);
     }
     _mm512_storeu_si512(out, v);
-}
-
-__attribute__((target(ZCOMP_AVX512_TARGET)))
-size_t
-countNonzeroF32Avx512(const float *d, size_t n)
-{
-    const __m512 zero = _mm512_setzero_ps();
-    size_t nnz = 0;
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        nnz += __builtin_popcount(static_cast<uint32_t>(
-            _mm512_cmp_ps_mask(_mm512_loadu_ps(d + i), zero,
-                               _CMP_NEQ_UQ)));
-    }
-    if (i < n) {
-        const __mmask16 m =
-            static_cast<__mmask16>((1u << (n - i)) - 1u);
-        const __m512 v = _mm512_maskz_loadu_ps(m, d + i);
-        nnz += __builtin_popcount(static_cast<uint32_t>(
-            _mm512_cmp_ps_mask(v, zero, _CMP_NEQ_UQ)));
-    }
-    return nnz;
-}
-
-__attribute__((target(ZCOMP_AVX512_TARGET)))
-void
-vecNnzF32Avx512(const float *d, size_t vecs, uint16_t *out)
-{
-    const __m512 zero = _mm512_setzero_ps();
-    for (size_t v = 0; v < vecs; v++) {
-        out[v] = static_cast<uint16_t>(
-            __builtin_popcount(static_cast<uint32_t>(_mm512_cmp_ps_mask(
-                _mm512_loadu_ps(d + v * 16), zero, _CMP_NEQ_UQ))));
-    }
 }
 
 /** Compress the even bits of x (positions 0,2,..,30) into bits 0..15. */
@@ -658,46 +580,6 @@ unpackLanes(const uint8_t *payload, int elemBytes, uint64_t header,
     }
 #else
     (void)payload; (void)elemBytes; (void)header; (void)out;
-#endif
-    return false;
-}
-
-bool
-countNonzeroF32(const float *d, size_t n, size_t &nnz)
-{
-#if ZCOMP_SIMD_X86
-    switch (activeBackend()) {
-      case Backend::Avx512:
-        nnz += countNonzeroF32Avx512(d, n);
-        return true;
-      case Backend::Avx2:
-        nnz += countNonzeroF32Avx2(d, n);
-        return true;
-      default:
-        break;
-    }
-#else
-    (void)d; (void)n; (void)nnz;
-#endif
-    return false;
-}
-
-bool
-vecNnzF32(const float *d, size_t vecs, uint16_t *out)
-{
-#if ZCOMP_SIMD_X86
-    switch (activeBackend()) {
-      case Backend::Avx512:
-        vecNnzF32Avx512(d, vecs, out);
-        return true;
-      case Backend::Avx2:
-        vecNnzF32Avx2(d, vecs, out);
-        return true;
-      default:
-        break;
-    }
-#else
-    (void)d; (void)vecs; (void)out;
 #endif
     return false;
 }

@@ -98,19 +98,6 @@ bool unpackLanes(const uint8_t *payload, int elemBytes, uint64_t header,
                  uint8_t *out);
 
 /**
- * Count of floats with d[i] != 0.0f (IEEE compare: -0.0f counts as
- * zero, NaN counts as nonzero), added into `nnz`.
- */
-bool countNonzeroF32(const float *d, size_t n, size_t &nnz);
-
-/**
- * Per-16-lane-group nonzero counts: out[v] = number of lanes with
- * d[16v + i] != 0.0f for v in [0, vecs). Same compare semantics as
- * countNonzeroF32.
- */
-bool vecNnzF32(const float *d, size_t vecs, uint16_t *out);
-
-/**
  * FPC word classification for one 64-byte line (16 little-endian
  * 32-bit words): bits[w] = payload bits of the best non-zero-run FPC
  * class for word w (3-bit prefix excluded), zeroMask bit w = word w

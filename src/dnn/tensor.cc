@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/log.hh"
-#include "common/simd.hh"
 
 namespace zcomp {
 
@@ -37,10 +36,6 @@ double
 Tensor::sparsity() const
 {
     const float *d = data();
-    size_t nnz = 0;
-    if (simd::countNonzeroF32(d, elems(), nnz))
-        return static_cast<double>(elems() - nnz) /
-               static_cast<double>(elems());
     size_t zeros = 0;
     for (size_t i = 0; i < elems(); i++) {
         if (d[i] == 0.0f)

@@ -1,5 +1,6 @@
 #include "sim/exec_context.hh"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "common/log.hh"
@@ -10,26 +11,39 @@ namespace zcomp {
 
 namespace {
 
+/** Every HierSnapshot counter and its JSON name, in report order. */
+struct TrafficField
+{
+    const char *name;
+    uint64_t HierSnapshot::*field;
+};
+
+constexpr TrafficField counters[] = {
+    {"coreL1Bytes", &HierSnapshot::coreL1Bytes},
+    {"l1L2Bytes", &HierSnapshot::l1L2Bytes},
+    {"l2L3Bytes", &HierSnapshot::l2L3Bytes},
+    {"l3DramBytes", &HierSnapshot::l3DramBytes},
+    {"l1Hits", &HierSnapshot::l1Hits},
+    {"l1Misses", &HierSnapshot::l1Misses},
+    {"l2Hits", &HierSnapshot::l2Hits},
+    {"l2Misses", &HierSnapshot::l2Misses},
+    {"l3Hits", &HierSnapshot::l3Hits},
+    {"l3Misses", &HierSnapshot::l3Misses},
+    {"l2PrefIssued", &HierSnapshot::l2PrefIssued},
+    {"l2PrefUseful", &HierSnapshot::l2PrefUseful},
+    {"l2PrefUnused", &HierSnapshot::l2PrefUnused},
+    {"l2DemandMissesBelow", &HierSnapshot::l2DemandMissesBelow},
+    {"nocHops", &HierSnapshot::nocHops},
+};
+static_assert(sizeof(HierSnapshot) == std::size(counters) * sizeof(uint64_t),
+              "every HierSnapshot counter needs a TrafficField entry");
+
 HierSnapshot
 diff(const HierSnapshot &after, const HierSnapshot &before)
 {
     HierSnapshot d;
-    d.coreL1Bytes = after.coreL1Bytes - before.coreL1Bytes;
-    d.l1L2Bytes = after.l1L2Bytes - before.l1L2Bytes;
-    d.l2L3Bytes = after.l2L3Bytes - before.l2L3Bytes;
-    d.l3DramBytes = after.l3DramBytes - before.l3DramBytes;
-    d.l1Hits = after.l1Hits - before.l1Hits;
-    d.l1Misses = after.l1Misses - before.l1Misses;
-    d.l2Hits = after.l2Hits - before.l2Hits;
-    d.l2Misses = after.l2Misses - before.l2Misses;
-    d.l3Hits = after.l3Hits - before.l3Hits;
-    d.l3Misses = after.l3Misses - before.l3Misses;
-    d.l2PrefIssued = after.l2PrefIssued - before.l2PrefIssued;
-    d.l2PrefUseful = after.l2PrefUseful - before.l2PrefUseful;
-    d.l2PrefUnused = after.l2PrefUnused - before.l2PrefUnused;
-    d.l2DemandMissesBelow =
-        after.l2DemandMissesBelow - before.l2DemandMissesBelow;
-    d.nocHops = after.nocHops - before.nocHops;
+    for (const TrafficField &c : counters)
+        d.*c.field = after.*c.field - before.*c.field;
     return d;
 }
 
@@ -50,21 +64,8 @@ RunStats::operator+=(const RunStats &o)
 {
     cycles += o.cycles;
     breakdown += o.breakdown;
-    traffic.coreL1Bytes += o.traffic.coreL1Bytes;
-    traffic.l1L2Bytes += o.traffic.l1L2Bytes;
-    traffic.l2L3Bytes += o.traffic.l2L3Bytes;
-    traffic.l3DramBytes += o.traffic.l3DramBytes;
-    traffic.l1Hits += o.traffic.l1Hits;
-    traffic.l1Misses += o.traffic.l1Misses;
-    traffic.l2Hits += o.traffic.l2Hits;
-    traffic.l2Misses += o.traffic.l2Misses;
-    traffic.l3Hits += o.traffic.l3Hits;
-    traffic.l3Misses += o.traffic.l3Misses;
-    traffic.l2PrefIssued += o.traffic.l2PrefIssued;
-    traffic.l2PrefUseful += o.traffic.l2PrefUseful;
-    traffic.l2PrefUnused += o.traffic.l2PrefUnused;
-    traffic.l2DemandMissesBelow += o.traffic.l2DemandMissesBelow;
-    traffic.nocHops += o.traffic.nocHops;
+    for (const TrafficField &c : counters)
+        traffic.*c.field += o.traffic.*c.field;
     return *this;
 }
 
@@ -83,23 +84,14 @@ runStatsToJson(const RunStats &s)
     const HierSnapshot &t = s.traffic;
     Json &tr = j["traffic"];
     tr = Json::object();
-    tr["coreL1Bytes"] = t.coreL1Bytes;
-    tr["l1L2Bytes"] = t.l1L2Bytes;
-    tr["l2L3Bytes"] = t.l2L3Bytes;
-    tr["l3DramBytes"] = t.l3DramBytes;
-    tr["onChipBytes"] = t.onChipBytes();
-    tr["totalBytes"] = t.totalBytes();
-    tr["l1Hits"] = t.l1Hits;
-    tr["l1Misses"] = t.l1Misses;
-    tr["l2Hits"] = t.l2Hits;
-    tr["l2Misses"] = t.l2Misses;
-    tr["l3Hits"] = t.l3Hits;
-    tr["l3Misses"] = t.l3Misses;
-    tr["l2PrefIssued"] = t.l2PrefIssued;
-    tr["l2PrefUseful"] = t.l2PrefUseful;
-    tr["l2PrefUnused"] = t.l2PrefUnused;
-    tr["l2DemandMissesBelow"] = t.l2DemandMissesBelow;
-    tr["nocHops"] = t.nocHops;
+    for (const TrafficField &c : counters) {
+        tr[c.name] = t.*c.field;
+        if (c.field == &HierSnapshot::l3DramBytes) {
+            // The derived aggregates follow the last link counter.
+            tr["onChipBytes"] = t.onChipBytes();
+            tr["totalBytes"] = t.totalBytes();
+        }
+    }
     return j;
 }
 
@@ -137,22 +129,8 @@ runStatsFromJson(const Json &j)
     if (!tr)
         throw std::runtime_error("RunStats JSON: missing traffic");
     HierSnapshot &t = s.traffic;
-    t.coreL1Bytes = numField(*tr, "coreL1Bytes").asUint();
-    t.l1L2Bytes = numField(*tr, "l1L2Bytes").asUint();
-    t.l2L3Bytes = numField(*tr, "l2L3Bytes").asUint();
-    t.l3DramBytes = numField(*tr, "l3DramBytes").asUint();
-    t.l1Hits = numField(*tr, "l1Hits").asUint();
-    t.l1Misses = numField(*tr, "l1Misses").asUint();
-    t.l2Hits = numField(*tr, "l2Hits").asUint();
-    t.l2Misses = numField(*tr, "l2Misses").asUint();
-    t.l3Hits = numField(*tr, "l3Hits").asUint();
-    t.l3Misses = numField(*tr, "l3Misses").asUint();
-    t.l2PrefIssued = numField(*tr, "l2PrefIssued").asUint();
-    t.l2PrefUseful = numField(*tr, "l2PrefUseful").asUint();
-    t.l2PrefUnused = numField(*tr, "l2PrefUnused").asUint();
-    t.l2DemandMissesBelow =
-        numField(*tr, "l2DemandMissesBelow").asUint();
-    t.nocHops = numField(*tr, "nocHops").asUint();
+    for (const TrafficField &c : counters)
+        t.*c.field = numField(*tr, c.name).asUint();
     return s;
 }
 

@@ -1,8 +1,10 @@
 #include "sim/kernels.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
+#include <iterator>
+#include <optional>
+#include <span>
 
 #include "common/fault.hh"
 #include "common/log.hh"
@@ -11,42 +13,146 @@
 
 namespace zcomp {
 
-const char *
-reluImplName(ReluImpl impl)
-{
-    switch (impl) {
-      case ReluImpl::Avx512Vec:
-        return "avx512-vec";
-      case ReluImpl::Avx512Comp:
-        return "avx512-comp";
-      case ReluImpl::Zcomp:
-        return "zcomp";
-    }
-    return "?";
-}
-
 namespace {
+
+constexpr uint64_t hdrB = headerBytes(ElemType::F32);
+
+/**
+ * Where a map's vectors live (Section 4.1):
+ *  - Plain:    64 B per vector at the sub-chunk's region offset.
+ *  - Separate: nnz*4 B of payload at the region offset, plus the
+ *              vector's header in a mask array at gvec*hdrB.
+ *  - Inline:   hdrB + nnz*4 B per vector at the slack offset.
+ */
+enum class Layout
+{
+    Plain,
+    Separate,
+    Inline,
+};
+
+/** uops and pseudo-PC slot of one per-vector trace access. */
+struct Cost
+{
+    uint16_t uops;
+    int slot;
+};
+
+/** One access of a loop body: which map, which way, header or data. */
+struct Step
+{
+    int map;        //!< 0 = X, 1 = Y
+    bool write;
+    bool header;    //!< mask-array access (Separate layout only)
+};
+
+constexpr int mapX = 0, mapY = 1;
+
+/** Store loop: [X header load], X load, Y store, [Y header store]. */
+constexpr Step storeSteps[] = {{mapX, false, true},
+                               {mapX, false, false},
+                               {mapY, true, false},
+                               {mapY, true, true}};
+
+/** Retrieve loop: [Y header load], Y load. */
+constexpr Step retrieveSteps[] = {{mapY, false, true},
+                                  {mapY, false, false}};
+
+/**
+ * One Figure 8-11 implementation: its Section 4.4 loop bodies, the
+ * cost of each access of its loops (indexed like storeSteps and
+ * retrieveSteps; header costs apply only under Layout::Separate),
+ * the layout it stores maps in, and whether its data accesses go
+ * through the ZCOMP unit and its pointer chain.
+ */
+struct ImplRow
+{
+    const char *name;
+    KernelBody storeBody;
+    KernelBody retrieveBody;
+    Cost store[std::size(storeSteps)];
+    Cost retrieve[std::size(retrieveSteps)];
+    Layout layout;          //!< zcomp's Inline becomes Separate with
+                            //!< ReluExperimentConfig::separateHeader
+    bool zcompUnit;
+};
+
+const ImplRow &
+rowOf(ReluImpl impl)
+{
+    using IC = InstrClass;
+    static const ImplRow rows[numReluImpls] = {
+        {"avx512-vec",
+         // vmovups; vmaxps; vmovups; loop. Registers: tvec, zero
+         // vector | X, Y, i.
+         {"relu-store avx512-vec",
+          {{IC::VecLoad, 1}, {IC::VecMax, 1}, {IC::VecStore, 1},
+           {IC::LoopOverhead, 1}},
+          2, 0, 3},
+         // vmovups + consume + loop.
+         {"retrieve avx512-vec",
+          {{IC::VecLoad, 1}, {IC::LoopOverhead, 1}},
+          1, 0, 2},
+         {{0, 0}, {1, 0}, {4, 1}, {0, 0}},
+         {{0, 0}, {4, 4}},
+         Layout::Plain, false},
+        {"avx512-comp",
+         // Figure 10: headers[i] load; kmov + vexpandload + popcnt +
+         // index add; vcmp + popcnt + vcompressstore + index add;
+         // headers store + loop. Registers: tvec, zvec | k | X, Y,
+         // headers, index, nnz_cnt, i.
+         {"relu-store avx512-comp",
+          {{IC::VecLoad, 1}, {IC::VecCmpMask, 1}, {IC::KMov, 1},
+           {IC::Popcnt, 1}, {IC::VecCompressStore, 1},
+           {IC::ScalarAlu, 1}, {IC::ScalarStore, 1},
+           {IC::LoopOverhead, 1}},
+          2, 1, 6},
+         // Figure 11: headers[i] load; kmov + vexpandload + popcnt +
+         // add + consume + loop. Registers: X, headers, index,
+         // nnz_cnt, i.
+         {"retrieve avx512-comp",
+          {{IC::ScalarLoad, 1}, {IC::KMov, 1}, {IC::VecExpandLoad, 1},
+           {IC::Popcnt, 1}, {IC::ScalarAlu, 1}, {IC::LoopOverhead, 1}},
+          1, 1, 5},
+         {{1, 0}, {6, 1}, {7, 2}, {3, 3}},
+         {{1, 4}, {8, 5}},
+         Layout::Separate, false},
+        {"zcomp",
+         // Figure 8: zcompl X; zcomps Y (LTEZ fused ReLU) + loop.
+         // Separate headers have statically known addresses (fixed
+         // reg3 stride): issued by the same instruction, no extra
+         // uops. Registers: tvec | X, Y_ptr, i.
+         {"relu-store zcomp",
+          {{IC::VecLoad, 1}, {IC::ZcompS, 1}, {IC::LoopOverhead, 1}},
+          1, 0, 3},
+         // Figure 9: zcompl + consume + loop. Registers: X_ptr, i.
+         {"retrieve zcomp",
+          {{IC::ZcompL, 1}, {IC::LoopOverhead, 1}},
+          1, 0, 2},
+         {{0, 2}, {1, 0}, {3, 1}, {0, 3}},
+         {{0, 5}, {4, 4}},
+         Layout::Inline, true},
+    };
+    const int i = static_cast<int>(impl);
+    panic_if(i < 0 || i >= numReluImpls, "invalid ReluImpl %d", i);
+    return rows[i];
+}
 
 /** Per-(core, sub-block) layout and per-vector compressed sizes. */
 struct SubStream
 {
     Chunk chunk;                    //!< element range + region window
-    std::vector<uint8_t> nnzX;      //!< per-vector input NNZ
-    std::vector<uint8_t> nnzY;      //!< per-vector output NNZ
+    std::vector<uint8_t> nnz[2];    //!< per-vector NNZ of X and Y
 };
 
 struct ExperimentState
 {
-    Buffer *x = nullptr;
-    Buffer *y = nullptr;
-    Buffer *xMask = nullptr;        //!< avx512-comp header arrays
-    Buffer *yMask = nullptr;
+    Layout layout = Layout::Plain;
+    Buffer *data[2] = {};           //!< X and Y
+    Buffer *mask[2] = {};           //!< their headers (Separate only)
     std::vector<std::vector<SubStream>> subs;   //!< [core][sub]
-    StreamStats xStream;
-    StreamStats yStream;
+    StreamStats stream[2];
 };
-
-constexpr uint64_t hdrB = 2;        //!< fp32 header bytes
 
 /**
  * Compressed-window layout with header slack.
@@ -76,12 +182,64 @@ regionWithSlack(size_t n)
     return n * 4 + (n / 16) * hdrB;
 }
 
+/** Offset of a sub-chunk's data window within its map. */
+size_t
+windowOffset(Layout layout, const Chunk &sub)
+{
+    return layout == Layout::Inline ? slackOffset(sub) : sub.regionOffset;
+}
+
+/** Offset of a sub-chunk's headers within its mask array. */
+size_t
+maskOffset(const Chunk &sub)
+{
+    return (sub.elemBegin / 16) * hdrB;
+}
+
+/** Compressing writer over map m's window of one sub-chunk. */
+CompressedWriter
+writerFor(const ExperimentState &st, int m, const Chunk &sub)
+{
+    const Ccf ccf = m == mapY ? Ccf::LTEZ : Ccf::EQZ;
+    uint8_t *data = st.data[m]->host + windowOffset(st.layout, sub);
+    if (st.layout == Layout::Separate)
+        return CompressedWriter(data, sub.regionBytes,
+                                st.mask[m]->host + maskOffset(sub),
+                                (sub.elems() / 16) * hdrB, ElemType::F32,
+                                ccf);
+    return CompressedWriter(data, slackBytes(sub), ElemType::F32, ccf);
+}
+
+/** Panic unless Y's window of @p sub reads back as relu(raw). */
+void
+verifyY(const ExperimentState &st, const Chunk &sub,
+        const std::vector<float> &raw)
+{
+    const uint8_t *data = st.data[mapY]->host + windowOffset(st.layout, sub);
+    std::optional<CompressedReader> r;
+    if (st.layout == Layout::Separate)
+        r.emplace(data, sub.regionBytes,
+                  st.mask[mapY]->host + maskOffset(sub),
+                  (sub.elems() / 16) * hdrB, ElemType::F32);
+    else if (st.layout == Layout::Inline)
+        r.emplace(data, slackBytes(sub), ElemType::F32);
+    const float *plain = reinterpret_cast<const float *>(data);
+    for (size_t i = sub.elemBegin; i < sub.elemEnd; i += 16) {
+        Vec512 v = r ? r->get() : Vec512::load(plain + (i - sub.elemBegin));
+        for (int l = 0; l < 16; l++) {
+            float expect = raw[i + l] > 0 ? raw[i + l] : 0.0f;
+            panic_if(v.lane<float>(l) != expect,
+                     "relu Y mismatch at element %zu", i + l);
+        }
+    }
+}
+
 /**
  * Functional pass: build compressed/uncompressed X and Y contents and
  * the per-vector NNZ records for the timing replay.
  */
 ExperimentState
-prepare(ExecContext &ctx, ReluImpl impl, const ReluExperimentConfig &cfg)
+prepare(ExecContext &ctx, Layout layout, const ReluExperimentConfig &cfg)
 {
     fatal_if(cfg.elems == 0 || cfg.elems % 16 != 0,
              "relu experiment needs a multiple of 16 elements, got %zu",
@@ -98,16 +256,16 @@ prepare(ExecContext &ctx, ReluImpl impl, const ReluExperimentConfig &cfg)
     std::vector<float> raw = makeActivations(n, sp, cfg.seed);
 
     ExperimentState st;
-    st.x = &ctx.vs().alloc("relu.x", regionWithSlack(n),
-                           AllocClass::FeatureMap);
-    st.y = &ctx.vs().alloc("relu.y", regionWithSlack(n),
-                           AllocClass::FeatureMap);
-    if (impl == ReluImpl::Avx512Comp ||
-        (impl == ReluImpl::Zcomp && cfg.separateHeader)) {
-        st.xMask = &ctx.vs().alloc("relu.xmask", (n / 16) * hdrB,
-                                   AllocClass::FeatureMap);
-        st.yMask = &ctx.vs().alloc("relu.ymask", (n / 16) * hdrB,
-                                   AllocClass::FeatureMap);
+    st.layout = layout;
+    st.data[mapX] = &ctx.vs().alloc("relu.x", regionWithSlack(n),
+                                    AllocClass::FeatureMap);
+    st.data[mapY] = &ctx.vs().alloc("relu.y", regionWithSlack(n),
+                                    AllocClass::FeatureMap);
+    if (layout == Layout::Separate) {
+        st.mask[mapX] = &ctx.vs().alloc("relu.xmask", (n / 16) * hdrB,
+                                        AllocClass::FeatureMap);
+        st.mask[mapY] = &ctx.vs().alloc("relu.ymask", (n / 16) * hdrB,
+                                        AllocClass::FeatureMap);
     }
 
     auto coreChunks = partitionElements(n, cores, ElemType::F32);
@@ -117,130 +275,37 @@ prepare(ExecContext &ctx, ReluImpl impl, const ReluExperimentConfig &cfg)
         auto subChunks = subPartition(coreChunks[static_cast<size_t>(c)],
                                       cfg.subBlocks, ElemType::F32);
         for (const Chunk &sub : subChunks) {
-            SubStream ss;
+            SubStream &ss = st.subs[static_cast<size_t>(c)].emplace_back();
             ss.chunk = sub;
-            if (sub.elems() == 0) {
-                st.subs[static_cast<size_t>(c)].push_back(std::move(ss));
+            if (sub.elems() == 0)
                 continue;
-            }
-            switch (impl) {
-              case ReluImpl::Avx512Vec: {
+            if (layout == Layout::Plain) {
                 // X plain; Y = relu(X) plain.
-                std::memcpy(st.x->host + sub.regionOffset,
+                std::memcpy(st.data[mapX]->host + sub.regionOffset,
                             raw.data() + sub.elemBegin, sub.elems() * 4);
                 float *yp = reinterpret_cast<float *>(
-                    st.y->host + sub.regionOffset);
+                    st.data[mapY]->host + sub.regionOffset);
                 for (size_t i = 0; i < sub.elems(); i++) {
                     float v = raw[sub.elemBegin + i];
                     yp[i] = v > 0 ? v : 0.0f;
                 }
-                break;
-              }
-              case ReluImpl::Avx512Comp: {
-                // Separate mask arrays indexed by global vector id.
-                CompressedWriter wx(
-                    st.x->host + sub.regionOffset, sub.regionBytes,
-                    st.xMask->host + (sub.elemBegin / 16) * hdrB,
-                    (sub.elems() / 16) * hdrB, ElemType::F32, Ccf::EQZ);
-                CompressedWriter wy(
-                    st.y->host + sub.regionOffset, sub.regionBytes,
-                    st.yMask->host + (sub.elemBegin / 16) * hdrB,
-                    (sub.elems() / 16) * hdrB, ElemType::F32, Ccf::LTEZ);
+            } else {
+                // X stored as the previous layer left it (EQZ), Y
+                // through the fused ReLU (LTEZ).
+                CompressedWriter w[2] = {writerFor(st, mapX, sub),
+                                         writerFor(st, mapY, sub)};
                 for (size_t i = sub.elemBegin; i < sub.elemEnd; i += 16) {
                     Vec512 v = Vec512::load(raw.data() + i);
-                    wx.put(v);
-                    wy.put(v);
+                    w[mapX].put(v);
+                    w[mapY].put(v);
                 }
-                ss.nnzX = wx.nnzRecord();
-                ss.nnzY = wy.nnzRecord();
-                st.xStream += wx.stats();
-                st.yStream += wy.stats();
-                break;
-              }
-              case ReluImpl::Zcomp: {
-                if (cfg.separateHeader) {
-                    // Section 3.2/4.1 option 2: payload stays within
-                    // the original allocation, headers live in their
-                    // own store with a decoupled auto-incremented
-                    // pointer (no memory-violation risk).
-                    CompressedWriter wx(
-                        st.x->host + sub.regionOffset, sub.regionBytes,
-                        st.xMask->host + (sub.elemBegin / 16) * hdrB,
-                        (sub.elems() / 16) * hdrB, ElemType::F32,
-                        Ccf::EQZ);
-                    CompressedWriter wy(
-                        st.y->host + sub.regionOffset, sub.regionBytes,
-                        st.yMask->host + (sub.elemBegin / 16) * hdrB,
-                        (sub.elems() / 16) * hdrB, ElemType::F32,
-                        Ccf::LTEZ);
-                    for (size_t i = sub.elemBegin; i < sub.elemEnd;
-                         i += 16) {
-                        Vec512 v = Vec512::load(raw.data() + i);
-                        wx.put(v);
-                        wy.put(v);
-                    }
-                    ss.nnzX = wx.nnzRecord();
-                    ss.nnzY = wy.nnzRecord();
-                    st.xStream += wx.stats();
-                    st.yStream += wy.stats();
-                    break;
-                }
-                // Interleaved-header streams within the original
-                // allocation windows (Section 4.1).
-                CompressedWriter wx(st.x->host + slackOffset(sub),
-                                    slackBytes(sub), ElemType::F32,
-                                    Ccf::EQZ);
-                CompressedWriter wy(st.y->host + slackOffset(sub),
-                                    slackBytes(sub), ElemType::F32,
-                                    Ccf::LTEZ);
-                for (size_t i = sub.elemBegin; i < sub.elemEnd; i += 16) {
-                    Vec512 v = Vec512::load(raw.data() + i);
-                    wx.put(v);
-                    wy.put(v);
-                }
-                ss.nnzX = wx.nnzRecord();
-                ss.nnzY = wy.nnzRecord();
-                st.xStream += wx.stats();
-                st.yStream += wy.stats();
-                break;
-              }
-            }
-            st.subs[static_cast<size_t>(c)].push_back(std::move(ss));
-        }
-    }
-
-    if (cfg.verify) {
-        // Expanding Y must reproduce relu(raw) exactly.
-        for (int c = 0; c < cores; c++) {
-            for (const SubStream &ss : st.subs[static_cast<size_t>(c)]) {
-                if (ss.chunk.elems() == 0)
-                    continue;
-                const Chunk &sub = ss.chunk;
-                for (size_t i = sub.elemBegin; i < sub.elemEnd; i++) {
-                    float expect = raw[i] > 0 ? raw[i] : 0.0f;
-                    float got = 0.0f;
-                    if (impl == ReluImpl::Avx512Vec) {
-                        got = reinterpret_cast<float *>(
-                            st.y->host +
-                            sub.regionOffset)[i - sub.elemBegin];
-                        panic_if(got != expect, "vec mismatch at %zu", i);
-                    }
-                }
-                if (impl == ReluImpl::Zcomp && !cfg.separateHeader) {
-                    CompressedReader r(st.y->host + slackOffset(sub),
-                                       slackBytes(sub), ElemType::F32);
-                    for (size_t i = sub.elemBegin; i < sub.elemEnd;
-                         i += 16) {
-                        Vec512 v = r.get();
-                        for (int l = 0; l < 16; l++) {
-                            float expect = raw[i + l] > 0 ? raw[i + l]
-                                                          : 0.0f;
-                            panic_if(v.lane<float>(l) != expect,
-                                     "zcomp mismatch at %zu", i);
-                        }
-                    }
+                for (int m : {mapX, mapY}) {
+                    ss.nnz[m] = w[m].nnzRecord();
+                    st.stream[m] += w[m].stats();
                 }
             }
+            if (cfg.verify)
+                verifyY(st, sub, raw);
         }
     }
     return st;
@@ -253,12 +318,19 @@ pcOf(int sub, int which)
     return static_cast<uint16_t>(1 + sub * 8 + which);
 }
 
-/** Build the store (activation) pass trace. */
+/**
+ * Build one pass's trace: per core, vector i of every sub-block in
+ * turn, each emitting the loop body's accesses in step order.
+ */
 TracePhase
-buildStorePhase(const ExperimentState &st, ReluImpl impl,
-                const ReluExperimentConfig &cfg, int cores, int logic_lat)
+buildPhase(const ExperimentState &st, const ImplRow &row, bool store,
+           int cores, int logic_lat)
 {
-    TracePhase phase("relu-store", cores);
+    const std::span<const Step> steps =
+        store ? std::span<const Step>(storeSteps)
+              : std::span<const Step>(retrieveSteps);
+    const Cost *costs = store ? row.store : row.retrieve;
+    TracePhase phase(store ? "relu-store" : "relu-retrieve", cores);
     for (int c = 0; c < cores; c++) {
         const auto &subs = st.subs[static_cast<size_t>(c)];
         CoreTrace &t = phase.perCore[static_cast<size_t>(c)];
@@ -267,171 +339,51 @@ buildStorePhase(const ExperimentState &st, ReluImpl impl,
         for (const auto &ss : subs)
             max_vecs = std::max(max_vecs, ss.chunk.elems() / 16);
 
-        std::vector<size_t> xOff(subs.size(), 0), yOff(subs.size(), 0);
+        // Running data offset of each map's window, per sub-block.
+        std::vector<size_t> off[2] = {std::vector<size_t>(subs.size()),
+                                      std::vector<size_t>(subs.size())};
         for (size_t i = 0; i < max_vecs; i++) {
             for (size_t s = 0; s < subs.size(); s++) {
                 const SubStream &ss = subs[s];
                 if (i >= ss.chunk.elems() / 16)
                     continue;
                 const Chunk &sub = ss.chunk;
-                size_t gvec = sub.elemBegin / 16 + i;
-                switch (impl) {
-                  case ReluImpl::Avx512Vec: {
-                    // vmovups; vmaxps; vmovups; loop.
-                    t.push_back(TraceOp::load(
-                        st.x->addrAt(sub.regionOffset + i * 64), 64, 1,
-                        pcOf(static_cast<int>(s), 0)));
-                    t.push_back(TraceOp::store(
-                        st.y->addrAt(sub.regionOffset + i * 64), 64, 4,
-                        pcOf(static_cast<int>(s), 1)));
-                    break;
-                  }
-                  case ReluImpl::Avx512Comp: {
-                    uint32_t nx = ss.nnzX[i], ny = ss.nnzY[i];
-                    // headers[i] load (independent address).
-                    t.push_back(TraceOp::load(
-                        st.xMask->addrAt(gvec * hdrB),
-                        static_cast<uint32_t>(hdrB), 1,
-                        pcOf(static_cast<int>(s), 0)));
-                    // kmov+vexpandload+popcnt+index add.
-                    t.push_back(TraceOp::load(
-                        st.x->addrAt(sub.regionOffset + xOff[s]), nx * 4,
-                        6, pcOf(static_cast<int>(s), 1)));
-                    // vcmp+popcnt+vcompressstore+index add.
-                    t.push_back(TraceOp::store(
-                        st.y->addrAt(sub.regionOffset + yOff[s]), ny * 4,
-                        7, pcOf(static_cast<int>(s), 2)));
-                    // headers store + loop.
-                    t.push_back(TraceOp::store(
-                        st.yMask->addrAt(gvec * hdrB),
-                        static_cast<uint32_t>(hdrB), 3,
-                        pcOf(static_cast<int>(s), 3)));
-                    xOff[s] += nx * 4;
-                    yOff[s] += ny * 4;
-                    break;
-                  }
-                  case ReluImpl::Zcomp: {
-                    uint32_t nx = ss.nnzX[i], ny = ss.nnzY[i];
-                    bool sep = cfg.separateHeader;
-                    if (sep) {
-                        // Header reads/writes have statically-known
-                        // addresses (fixed reg3 stride): independent
-                        // accesses issued as part of the same
-                        // instruction (no extra uops).
-                        t.push_back(TraceOp::load(
-                            st.xMask->addrAt(gvec * hdrB),
-                            static_cast<uint32_t>(hdrB), 0,
-                            pcOf(static_cast<int>(s), 2)));
+                for (size_t k = 0; k < steps.size(); k++) {
+                    const Step &step = steps[k];
+                    if (step.header && st.layout != Layout::Separate)
+                        continue;
+                    Addr addr;
+                    uint32_t bytes;
+                    if (step.header) {
+                        addr = st.mask[step.map]->addrAt(
+                            maskOffset(sub) + i * hdrB);
+                        bytes = static_cast<uint32_t>(hdrB);
+                    } else {
+                        bytes = 64;
+                        if (st.layout != Layout::Plain) {
+                            bytes = ss.nnz[step.map][i] * 4u;
+                            if (st.layout == Layout::Inline)
+                                bytes += static_cast<uint32_t>(hdrB);
+                        }
+                        size_t &o = off[step.map][s];
+                        addr = st.data[step.map]->addrAt(
+                            windowOffset(st.layout, sub) + o);
+                        o += bytes;
                     }
-                    // zcompl X payload (chained via reg2; interleaved
-                    // mode also carries the header inline).
-                    TraceOp ld = TraceOp::load(
-                        st.x->addrAt(sep ? sub.regionOffset + xOff[s]
-                                         : slackOffset(sub) + xOff[s]),
-                        (sep ? 0 : static_cast<uint32_t>(hdrB)) +
-                            nx * 4,
-                        1, pcOf(static_cast<int>(s), 0));
-                    ld.stream = static_cast<int8_t>(2 * s);
-                    ld.chainLat = static_cast<uint8_t>(logic_lat);
-                    ld.zcompUnit = true;
-                    t.push_back(ld);
-                    // zcomps Y (LTEZ fused ReLU) + loop overhead.
-                    TraceOp stp = TraceOp::store(
-                        st.y->addrAt(sep ? sub.regionOffset + yOff[s]
-                                         : slackOffset(sub) + yOff[s]),
-                        (sep ? 0 : static_cast<uint32_t>(hdrB)) +
-                            ny * 4,
-                        3, pcOf(static_cast<int>(s), 1));
-                    stp.stream = static_cast<int8_t>(2 * s + 1);
-                    stp.chainLat = static_cast<uint8_t>(logic_lat);
-                    stp.zcompUnit = true;
-                    t.push_back(stp);
-                    if (sep) {
-                        TraceOp hw = TraceOp::store(
-                            st.yMask->addrAt(gvec * hdrB),
-                            static_cast<uint32_t>(hdrB), 0,
-                            pcOf(static_cast<int>(s), 3));
-                        t.push_back(hw);
+                    const uint16_t pc =
+                        pcOf(static_cast<int>(s), costs[k].slot);
+                    TraceOp op =
+                        step.write
+                            ? TraceOp::store(addr, bytes, costs[k].uops, pc)
+                            : TraceOp::load(addr, bytes, costs[k].uops, pc);
+                    if (row.zcompUnit && !step.header) {
+                        // zcompl/zcomps chain through reg2.
+                        op.stream = static_cast<int8_t>(
+                            2 * s + (step.write ? 1 : 0));
+                        op.chainLat = static_cast<uint8_t>(logic_lat);
+                        op.zcompUnit = true;
                     }
-                    xOff[s] += (sep ? 0 : hdrB) + nx * 4;
-                    yOff[s] += (sep ? 0 : hdrB) + ny * 4;
-                    break;
-                  }
-                }
-            }
-        }
-        (void)cfg;
-    }
-    return phase;
-}
-
-/** Build the retrieve (consumer) pass trace. */
-TracePhase
-buildRetrievePhase(const ExperimentState &st, ReluImpl impl,
-                   const ReluExperimentConfig &cfg, int cores,
-                   int logic_lat)
-{
-    TracePhase phase("relu-retrieve", cores);
-    for (int c = 0; c < cores; c++) {
-        const auto &subs = st.subs[static_cast<size_t>(c)];
-        CoreTrace &t = phase.perCore[static_cast<size_t>(c)];
-
-        size_t max_vecs = 0;
-        for (const auto &ss : subs)
-            max_vecs = std::max(max_vecs, ss.chunk.elems() / 16);
-
-        std::vector<size_t> yOff(subs.size(), 0);
-        for (size_t i = 0; i < max_vecs; i++) {
-            for (size_t s = 0; s < subs.size(); s++) {
-                const SubStream &ss = subs[s];
-                if (i >= ss.chunk.elems() / 16)
-                    continue;
-                const Chunk &sub = ss.chunk;
-                size_t gvec = sub.elemBegin / 16 + i;
-                switch (impl) {
-                  case ReluImpl::Avx512Vec: {
-                    // vmovups + consume + loop.
-                    t.push_back(TraceOp::load(
-                        st.y->addrAt(sub.regionOffset + i * 64), 64, 4,
-                        pcOf(static_cast<int>(s), 4)));
-                    break;
-                  }
-                  case ReluImpl::Avx512Comp: {
-                    uint32_t ny = ss.nnzY[i];
-                    t.push_back(TraceOp::load(
-                        st.yMask->addrAt(gvec * hdrB),
-                        static_cast<uint32_t>(hdrB), 1,
-                        pcOf(static_cast<int>(s), 4)));
-                    // kmov+vexpandload+popcnt+add+consume+loop.
-                    t.push_back(TraceOp::load(
-                        st.y->addrAt(sub.regionOffset + yOff[s]), ny * 4,
-                        8, pcOf(static_cast<int>(s), 5)));
-                    yOff[s] += ny * 4;
-                    break;
-                  }
-                  case ReluImpl::Zcomp: {
-                    uint32_t ny = ss.nnzY[i];
-                    bool sep = cfg.separateHeader;
-                    if (sep) {
-                        t.push_back(TraceOp::load(
-                            st.yMask->addrAt(gvec * hdrB),
-                            static_cast<uint32_t>(hdrB), 0,
-                            pcOf(static_cast<int>(s), 5)));
-                    }
-                    // zcompl + consume + loop.
-                    TraceOp ld = TraceOp::load(
-                        st.y->addrAt(sep ? sub.regionOffset + yOff[s]
-                                         : slackOffset(sub) + yOff[s]),
-                        (sep ? 0 : static_cast<uint32_t>(hdrB)) +
-                            ny * 4,
-                        4, pcOf(static_cast<int>(s), 4));
-                    ld.stream = static_cast<int8_t>(2 * s);
-                    ld.chainLat = static_cast<uint8_t>(logic_lat);
-                    ld.zcompUnit = true;
-                    t.push_back(ld);
-                    yOff[s] += (sep ? 0 : hdrB) + ny * 4;
-                    break;
-                  }
+                    t.push_back(op);
                 }
             }
         }
@@ -441,20 +393,29 @@ buildRetrievePhase(const ExperimentState &st, ReluImpl impl,
 
 } // namespace
 
+const char *
+reluImplName(ReluImpl impl)
+{
+    return rowOf(impl).name;
+}
+
 ReluExperimentResult
 runReluExperiment(ExecContext &ctx, ReluImpl impl,
                   const ReluExperimentConfig &cfg)
 {
     const int cores = ctx.config().numCores;
     const int logic_lat = ctx.config().zcomp.logicLatency;
+    const ImplRow &row = rowOf(impl);
+    const Layout layout = row.layout == Layout::Inline && cfg.separateHeader
+                              ? Layout::Separate
+                              : row.layout;
 
     // See NetworkSim::run(): fault before any state is prepared.
     FaultInjector::global().maybeInject(faultsite::KernelTransient);
 
-    ExperimentState st = prepare(ctx, impl, cfg);
-    TracePhase store = buildStorePhase(st, impl, cfg, cores, logic_lat);
-    TracePhase retrieve =
-        buildRetrievePhase(st, impl, cfg, cores, logic_lat);
+    ExperimentState st = prepare(ctx, layout, cfg);
+    TracePhase store = buildPhase(st, row, true, cores, logic_lat);
+    TracePhase retrieve = buildPhase(st, row, false, cores, logic_lat);
 
     if (cfg.warmup) {
         ctx.warm(store);
@@ -467,88 +428,21 @@ runReluExperiment(ExecContext &ctx, ReluImpl impl,
         res.store += ctx.run(store);
         res.retrieve += ctx.run(retrieve);
     }
-    res.xStream = st.xStream;
-    res.yStream = st.yStream;
+    res.xStream = st.stream[mapX];
+    res.yStream = st.stream[mapY];
     return res;
 }
 
 KernelBody
 reluStoreBody(ReluImpl impl)
 {
-    KernelBody body;
-    switch (impl) {
-      case ReluImpl::Avx512Vec:
-        body.name = "relu-store avx512-vec";
-        body.instrs = {{InstrClass::VecLoad, 1},
-                       {InstrClass::VecMax, 1},
-                       {InstrClass::VecStore, 1},
-                       {InstrClass::LoopOverhead, 1}};
-        body.vecRegs = 2;       // tvec, zero vector
-        body.scalarRegs = 3;    // X, Y, i
-        break;
-      case ReluImpl::Avx512Comp:
-        // Figure 10 loop body.
-        body.name = "relu-store avx512-comp";
-        body.instrs = {{InstrClass::VecLoad, 1},
-                       {InstrClass::VecCmpMask, 1},
-                       {InstrClass::KMov, 1},
-                       {InstrClass::Popcnt, 1},
-                       {InstrClass::VecCompressStore, 1},
-                       {InstrClass::ScalarAlu, 1},
-                       {InstrClass::ScalarStore, 1},
-                       {InstrClass::LoopOverhead, 1}};
-        body.vecRegs = 2;       // tvec, zvec
-        body.maskRegs = 1;
-        body.scalarRegs = 6;    // X, Y, headers, index, nnz_cnt, i
-        break;
-      case ReluImpl::Zcomp:
-        // Figure 8 loop body: one intrinsic replaces the store.
-        body.name = "relu-store zcomp";
-        body.instrs = {{InstrClass::VecLoad, 1},
-                       {InstrClass::ZcompS, 1},
-                       {InstrClass::LoopOverhead, 1}};
-        body.vecRegs = 1;       // tvec
-        body.scalarRegs = 3;    // X, Y_ptr, i
-        break;
-    }
-    return body;
+    return rowOf(impl).storeBody;
 }
 
 KernelBody
 reluRetrieveBody(ReluImpl impl)
 {
-    KernelBody body;
-    switch (impl) {
-      case ReluImpl::Avx512Vec:
-        body.name = "retrieve avx512-vec";
-        body.instrs = {{InstrClass::VecLoad, 1},
-                       {InstrClass::LoopOverhead, 1}};
-        body.vecRegs = 1;
-        body.scalarRegs = 2;
-        break;
-      case ReluImpl::Avx512Comp:
-        // Figure 11 loop body.
-        body.name = "retrieve avx512-comp";
-        body.instrs = {{InstrClass::ScalarLoad, 1},
-                       {InstrClass::KMov, 1},
-                       {InstrClass::VecExpandLoad, 1},
-                       {InstrClass::Popcnt, 1},
-                       {InstrClass::ScalarAlu, 1},
-                       {InstrClass::LoopOverhead, 1}};
-        body.vecRegs = 1;
-        body.maskRegs = 1;
-        body.scalarRegs = 5;    // X, headers, index, nnz_cnt, i
-        break;
-      case ReluImpl::Zcomp:
-        // Figure 9 loop body.
-        body.name = "retrieve zcomp";
-        body.instrs = {{InstrClass::ZcompL, 1},
-                       {InstrClass::LoopOverhead, 1}};
-        body.vecRegs = 1;
-        body.scalarRegs = 2;    // X_ptr, i
-        break;
-    }
-    return body;
+    return rowOf(impl).retrieveBody;
 }
 
 } // namespace zcomp

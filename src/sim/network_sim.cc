@@ -4,12 +4,13 @@
 #include <unordered_map>
 
 #include "common/bitops.hh"
+#include "common/check.hh"
 #include "common/fault.hh"
-#include "common/simd.hh"
 #include "common/log.hh"
 #include "common/trace_writer.hh"
 #include "dnn/layers/conv.hh"
 #include "dnn/layers/fc.hh"
+#include "isa/dtype.hh"
 
 namespace zcomp {
 
@@ -45,7 +46,7 @@ ioPolicyFromName(const std::string &name, IoPolicy &out)
 
 namespace {
 
-constexpr uint64_t hdrB = 2;            //!< fp32 header/mask bytes
+constexpr uint64_t hdrB = headerBytes(ElemType::F32);  //!< mask bytes
 constexpr size_t scratchBytes = 128 * KiB;  //!< per-core pack buffer
 
 /** One tensor's role in a streaming pass. */
@@ -76,15 +77,13 @@ isCrossLayer(const Tensor &t)
  */
 constexpr double minSparsityToCompress = 0.05;
 
-/** Count non-zero fp32 lanes in one vector of a tensor. */
-uint32_t
-vecNnz(const Tensor &t, size_t vec)
+/** Base address of a Conv/FC layer's weight panel. */
+Addr
+weightBase(const Layer &layer)
 {
-    const float *d = t.data() + vec * 16;
-    uint32_t n = 0;
-    for (int i = 0; i < 16; i++)
-        n += d[i] != 0.0f;
-    return n;
+    if (layer.kind() == LayerKind::Conv)
+        return static_cast<const ConvLayer &>(layer).weights().addrAt(0);
+    return static_cast<const FcLayer &>(layer).weights().addrAt(0);
 }
 
 /**
@@ -109,6 +108,10 @@ class PassBuilder
     void
     stream(const std::vector<StreamSpec> &specs)
     {
+        for (const StreamSpec &spec : specs) {
+            ZCOMP_DCHECK(!spec.compress || spec.nnz,
+                         "compressed stream without nonzero counts");
+        }
         int subs = std::max(
             1, std::min(cfg_.subBlocks,
                         CoreModel::maxStreams /
@@ -125,9 +128,7 @@ class PassBuilder
                 if (spec.compress) {
                     uint64_t payload = 0;
                     for (size_t v = 0; v < vecs; v++)
-                        payload += spec.nnz
-                                       ? spec.nnz[v]
-                                       : vecNnz(*spec.tensor, v);
+                        payload += spec.nnz[v];
                     comp = vecs * hdrB + payload * 4;
                 }
                 origBytes_ += orig;
@@ -296,8 +297,7 @@ class PassBuilder
             return;
         }
 
-        uint32_t nnz = spec.nnz ? spec.nnz[vec]
-                                : vecNnz(*spec.tensor, vec);
+        uint32_t nnz = spec.nnz[vec];
         if (cfg_.policy == IoPolicy::Zcomp) {
             TraceOp op = TraceOp::load(
                 ss.base + ss.byteOff,
@@ -417,13 +417,11 @@ NetworkSim::scanFor(const Tensor &t)
     const size_t elems = t.elems();
     const size_t vecs = elems / 16;
     scan.nnz.resize(vecs);
-    if (!simd::vecNnzF32(d, vecs, scan.nnz.data())) {
-        for (size_t v = 0; v < vecs; v++) {
-            uint32_t n = 0;
-            for (int i = 0; i < 16; i++)
-                n += d[v * 16 + i] != 0.0f;
-            scan.nnz[v] = static_cast<uint16_t>(n);
-        }
+    for (size_t v = 0; v < vecs; v++) {
+        uint32_t n = 0;
+        for (int i = 0; i < 16; i++)
+            n += d[v * 16 + i] != 0.0f;
+        scan.nnz[v] = static_cast<uint16_t>(n);
     }
     size_t nnz_total = 0;
     for (size_t v = 0; v < vecs; v++)
@@ -581,21 +579,11 @@ NetworkSim::run(const NetworkSimConfig &cfg)
                 std::vector<TensorShape> in_shapes{x.shape()};
                 uint64_t macs = n.layer->forwardMacs(in_shapes);
                 uint64_t wbytes = n.layer->weightBytes();
-                Addr wbase = 0;
-                if (kind == LayerKind::Conv) {
-                    wbase = static_cast<const ConvLayer &>(*n.layer)
-                                .weights()
-                                .addrAt(0);
-                } else {
-                    wbase = static_cast<const FcLayer &>(*n.layer)
-                                .weights()
-                                .addrAt(0);
-                }
                 uint64_t m_rows =
                     wbytes ? macs / (wbytes / 4) : 0;
                 PassBuilder pb(ctx_, cfg, n.layer->name() + ".gemm",
                                sampler.get());
-                pb.gemmCompute(wbase, wbytes, m_rows);
+                pb.gemmCompute(weightBase(*n.layer), wbytes, m_rows);
                 record(n.layer->name() + ".gemm", false, pb.run());
             }
             // Output write through the policy. With a fused ReLU the
@@ -640,7 +628,6 @@ NetworkSim::run(const NetworkSimConfig &cfg)
         int node = static_cast<int>(i);
         const auto &n = net_.node(node);
         LayerKind kind = n.layer->kind();
-        Tensor &dy = *net_.gradient(node);
 
         if (fused_relu[i])
             continue;   // mask applied by the consumer's dx pass
@@ -659,15 +646,7 @@ NetworkSim::run(const NetworkSimConfig &cfg)
                                sampler.get());
                 pb.stream({spec(node, true, false, false, 1),
                            spec(n.inputs[0], false, false, false, 1)});
-                Addr wbase =
-                    kind == LayerKind::Conv
-                        ? static_cast<const ConvLayer &>(*n.layer)
-                              .weights()
-                              .addrAt(0)
-                        : static_cast<const FcLayer &>(*n.layer)
-                              .weights()
-                              .addrAt(0);
-                pb.gemmCompute(wbase, wbytes, m_rows);
+                pb.gemmCompute(weightBase(*n.layer), wbytes, m_rows);
                 record(n.layer->name() + ".dw", true, pb.run());
             }
             // dX: weight panels again, write the input gradient map.
@@ -678,15 +657,7 @@ NetworkSim::run(const NetworkSimConfig &cfg)
             if (dx_node != 0) {
                 PassBuilder pb(ctx_, cfg, n.layer->name() + ".dx",
                                sampler.get());
-                Addr wbase =
-                    kind == LayerKind::Conv
-                        ? static_cast<const ConvLayer &>(*n.layer)
-                              .weights()
-                              .addrAt(0)
-                        : static_cast<const FcLayer &>(*n.layer)
-                              .weights()
-                              .addrAt(0);
-                pb.gemmCompute(wbase, wbytes, m_rows);
+                pb.gemmCompute(weightBase(*n.layer), wbytes, m_rows);
                 std::vector<StreamSpec> dx_specs;
                 if (dx_node != n.inputs[0]) {
                     // Mask source: the fused ReLU's sparse output.
@@ -702,7 +673,6 @@ NetworkSim::run(const NetworkSimConfig &cfg)
 
         // Streaming backward: read dY (and X where the derivative
         // needs it), write dX per input.
-        (void)dy;
         std::vector<StreamSpec> specs;
         specs.push_back(
             spec(node, true, false, false, computeUops(kind)));

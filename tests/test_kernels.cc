@@ -46,6 +46,87 @@ TEST(ReluKernels, FunctionalVerificationPasses)
         ReluExperimentConfig c = expCfg(16 * 1024);
         runReluExperiment(ctx, static_cast<ReluImpl>(i), c);
     }
+    // Section 3.2's separate-header zcomp variant.
+    ExecContext ctx(cfgSmall());
+    ReluExperimentConfig c = expCfg(16 * 1024);
+    c.separateHeader = true;
+    runReluExperiment(ctx, ReluImpl::Zcomp, c);
+}
+
+TEST(ReluKernels, PinnedRunStats)
+{
+    // Exact Fig 12 results of every kernel variant, so a rewrite of
+    // the trace builders must replay the same accesses in the same
+    // order. The (cores, subBlocks, map) cells form a two-level
+    // orthogonal array: each pair of factor levels appears once per
+    // variant, which keeps the test under ~3 s.
+    struct Pin
+    {
+        ReluImpl impl;
+        bool separateHeader;
+        int cores;
+        int subBlocks;
+        size_t kib;
+        double cycles;
+        uint64_t coreL1, l1L2, l2L3, l3Dram;
+        uint64_t xBytes, yBytes;    //!< stream totalBytes()
+    };
+    const Pin pins[] = {
+        {ReluImpl::Avx512Vec, false, 1, 1, 64, 2308,
+         196608, 262144, 0, 0, 0, 0},
+        {ReluImpl::Avx512Vec, false, 1, 8, 4096, 200363.83333333291,
+         12582912, 33059904, 16859456, 4352, 0, 0},
+        {ReluImpl::Avx512Vec, false, 16, 1, 4096, 9353.2852941176388,
+         12582912, 16777216, 14144, 14080, 0, 0},
+        {ReluImpl::Avx512Vec, false, 16, 8, 64, 148, 196608, 0, 0, 0, 0, 0},
+        {ReluImpl::Avx512Comp, false, 1, 1, 64, 6665.9166666666688,
+         96640, 123776, 0, 0, 33208, 31716},
+        {ReluImpl::Avx512Comp, false, 1, 8, 4096, 459653.91666684684,
+         6111728, 22251136, 9655104, 0, 2102832, 2004448},
+        {ReluImpl::Avx512Comp, false, 16, 1, 4096, 26634.416666666686,
+         6111728, 8124288, 256, 256, 2102832, 2004448},
+        {ReluImpl::Avx512Comp, false, 16, 8, 64, 425.91666666666606,
+         96640, 3968, 0, 0, 33208, 31716},
+        {ReluImpl::Zcomp, false, 1, 1, 64, 13854.666666665742,
+         96640, 124288, 0, 0, 33208, 31716},
+        {ReluImpl::Zcomp, false, 1, 8, 4096, 146926.33333330645,
+         6111728, 8207616, 8014208, 0, 2102832, 2004448},
+        {ReluImpl::Zcomp, false, 16, 1, 4096, 55192.000000036933,
+         6111728, 8124288, 0, 0, 2102832, 2004448},
+        {ReluImpl::Zcomp, false, 16, 8, 64, 141.2499999999809,
+         96640, 704, 0, 0, 33208, 31716},
+        {ReluImpl::Zcomp, true, 1, 1, 64, 13242.833333332615,
+         96640, 123776, 0, 0, 33208, 31716},
+        {ReluImpl::Zcomp, true, 1, 8, 4096, 542924.66666832939,
+         6111728, 22251392, 9654208, 0, 2102832, 2004448},
+        {ReluImpl::Zcomp, true, 16, 1, 4096, 53039.833333365154,
+         6111728, 8124288, 0, 0, 2102832, 2004448},
+        {ReluImpl::Zcomp, true, 16, 8, 64, 175.99999999990723,
+         96640, 1344, 0, 0, 33208, 31716},
+    };
+    for (const Pin &p : pins) {
+        ArchConfig arch;
+        arch.numCores = p.cores;
+        ExecContext ctx(arch);
+        ReluExperimentConfig c;
+        c.elems = p.kib * KiB / 4;
+        c.subBlocks = p.subBlocks;
+        c.separateHeader = p.separateHeader;
+        auto r = runReluExperiment(ctx, p.impl, c);
+        const RunStats t = r.total();
+        SCOPED_TRACE(::testing::Message()
+                     << reluImplName(p.impl)
+                     << (p.separateHeader ? " separate" : "")
+                     << " cores=" << p.cores << " subs=" << p.subBlocks
+                     << " kib=" << p.kib);
+        EXPECT_EQ(t.cycles, p.cycles);
+        EXPECT_EQ(t.traffic.coreL1Bytes, p.coreL1);
+        EXPECT_EQ(t.traffic.l1L2Bytes, p.l1L2);
+        EXPECT_EQ(t.traffic.l2L3Bytes, p.l2L3);
+        EXPECT_EQ(t.traffic.l3DramBytes, p.l3Dram);
+        EXPECT_EQ(r.xStream.totalBytes(), p.xBytes);
+        EXPECT_EQ(r.yStream.totalBytes(), p.yBytes);
+    }
 }
 
 TEST(ReluKernels, CompressionStatsMatchSparsity)

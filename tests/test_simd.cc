@@ -150,16 +150,12 @@ TEST(SimdDispatch, ScalarBackendHandlesNothing)
     simd::setBackend(simd::Backend::Scalar);
     uint64_t h;
     uint8_t buf[64] = {};
-    size_t nnz = 0;
     float f[16] = {};
-    uint16_t u16[1];
     uint8_t bits[16];
     uint16_t zm;
     EXPECT_FALSE(simd::laneHeader(buf, 4, false, h));
     EXPECT_FALSE(simd::packLanes(buf, 4, 0xFFFF, buf));
     EXPECT_FALSE(simd::unpackLanes(buf, 4, 0xFFFF, buf));
-    EXPECT_FALSE(simd::countNonzeroF32(f, 16, nnz));
-    EXPECT_FALSE(simd::vecNnzF32(f, 1, u16));
     EXPECT_FALSE(simd::fpcBitsLine(buf, bits, zm));
     EXPECT_FALSE(simd::axpyF32(1.0f, f, f, 16));
     EXPECT_FALSE(simd::dotPanel16F32(f, f, 0, f));
@@ -262,62 +258,6 @@ TEST(SimdDiff, PackUnpackLanesExactAndUnaligned)
                         << simd::backendName(b) << " eb=" << eb;
                 }
             }
-        }
-    }
-}
-
-TEST(SimdDiff, CountNonzeroF32TailsAndSpecials)
-{
-    BackendGuard guard;
-    const auto &adv = adversarialF32Bits();
-    std::vector<float> data(67 + 1);
-    // Fill with a rotation of the adversarial patterns, unaligned by
-    // one float (so AVX loads start off a 64-byte boundary).
-    float *d = data.data() + 1;
-    for (size_t i = 0; i < 67; i++) {
-        uint32_t w = adv[i % adv.size()];
-        std::memcpy(&d[i], &w, 4);
-    }
-    for (simd::Backend b : nativeBackends()) {
-        simd::setBackend(b);
-        for (size_t n = 0; n <= 67; n++) {
-            size_t ref = 0;
-            for (size_t i = 0; i < n; i++)
-                ref += d[i] != 0.0f;
-            size_t nnz = 100;  // must ADD into the accumulator
-            ASSERT_TRUE(simd::countNonzeroF32(d, n, nnz));
-            EXPECT_EQ(nnz, 100 + ref)
-                << simd::backendName(b) << " n=" << n;
-        }
-    }
-}
-
-TEST(SimdDiff, VecNnzF32MatchesPerVectorCounts)
-{
-    BackendGuard guard;
-    Rng rng(99);
-    const size_t vecs = 33;
-    std::vector<float> data(vecs * 16 + 1);
-    float *d = data.data() + 1;  // unaligned
-    const auto &adv = adversarialF32Bits();
-    for (size_t i = 0; i < vecs * 16; i++) {
-        if (rng.chance(0.5)) {
-            d[i] = 0.0f;
-        } else {
-            uint32_t w = adv[rng.below(adv.size())];
-            std::memcpy(&d[i], &w, 4);
-        }
-    }
-    for (simd::Backend b : nativeBackends()) {
-        simd::setBackend(b);
-        std::vector<uint16_t> out(vecs, 0xFFFF);
-        ASSERT_TRUE(simd::vecNnzF32(d, vecs, out.data()));
-        for (size_t v = 0; v < vecs; v++) {
-            uint16_t ref = 0;
-            for (int i = 0; i < 16; i++)
-                ref += d[v * 16 + i] != 0.0f;
-            EXPECT_EQ(out[v], ref)
-                << simd::backendName(b) << " vec=" << v;
         }
     }
 }

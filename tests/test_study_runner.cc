@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -329,6 +330,55 @@ TEST(StudyRunner, RowJsonRoundTripsExactly)
     EXPECT_EQ(restored.model, rows[0].model);
     EXPECT_EQ(restored.results[0].total.cycles,
               rows[0].results[0].total.cycles);
+
+    // Every counter distinct, so a name paired with the wrong member
+    // in the serializer cannot round-trip by accident.
+    RunStats &t = rows[0].results[0].total;
+    t.cycles = 1.5;
+    t.breakdown.compute = 2.25;
+    t.breakdown.memory = 3.5;
+    t.breakdown.sync = 4.75;
+    HierSnapshot &h = t.traffic;
+    h.coreL1Bytes = 101;
+    h.l1L2Bytes = 102;
+    h.l2L3Bytes = 103;
+    h.l3DramBytes = 104;
+    h.l1Hits = 105;
+    h.l1Misses = 106;
+    h.l2Hits = 107;
+    h.l2Misses = 108;
+    h.l3Hits = 109;
+    h.l3Misses = 110;
+    h.l2PrefIssued = 111;
+    h.l2PrefUseful = 112;
+    h.l2PrefUnused = 113;
+    h.l2DemandMissesBelow = 114;
+    h.nocHops = 115;
+    Json tj = runStatsToJson(t);
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : tj.find("traffic")->members())
+        keys.push_back(key);
+    const std::vector<std::string> want = {
+        "coreL1Bytes", "l1L2Bytes", "l2L3Bytes", "l3DramBytes",
+        "onChipBytes", "totalBytes", "l1Hits", "l1Misses", "l2Hits",
+        "l2Misses", "l3Hits", "l3Misses", "l2PrefIssued", "l2PrefUseful",
+        "l2PrefUnused", "l2DemandMissesBelow", "nocHops"};
+    EXPECT_EQ(keys, want);
+    EXPECT_EQ(tj.find("traffic")->find("onChipBytes")->asUint(),
+              101u + 102u + 103u);
+    EXPECT_EQ(tj.find("traffic")->find("totalBytes")->asUint(),
+              101u + 102u + 103u + 104u);
+
+    dumped = studyRowToJson(rows[0]).dump(2);
+    restored = studyRowFromJson(Json::parse(dumped, &err));
+    ASSERT_TRUE(err.empty()) << err;
+    EXPECT_EQ(studyRowToJson(restored).dump(2), dumped);
+    const RunStats &r = restored.results[0].total;
+    EXPECT_EQ(r.cycles, t.cycles);
+    EXPECT_EQ(r.breakdown.compute, t.breakdown.compute);
+    EXPECT_EQ(r.breakdown.memory, t.breakdown.memory);
+    EXPECT_EQ(r.breakdown.sync, t.breakdown.sync);
+    EXPECT_EQ(0, std::memcmp(&r.traffic, &h, sizeof(HierSnapshot)));
 }
 
 /**

@@ -15,6 +15,13 @@ committed golden file:
   bench_ablation_prefetch.txt   both prefetchers on and off
   bench_ablation_parallel.txt   the Fig 12 ReLU kernels replayed on a
                                 1-core and a 16-core machine
+  bench_instruction_overhead.txt
+                                the Section 4.4 static loop bodies of the
+                                Fig 12 kernels
+  bench_ablation_dtypes.txt     header amortization per element type
+  bench_fig15_cache_comp_smoke.txt
+                                every registered compression scheme on
+                                synthetic snapshots (--smoke)
 
 bench_smoke's trailing "wall ms" column is host time, so its stdout is
 compared with trailing digits stripped from every line (the same
@@ -56,6 +63,10 @@ def runs(tmp):
     out.append(("bench_ablation_parallel", "bench_ablation_parallel.txt",
                 ["bench_ablation_parallel", "--jobs", "1"], None,
                 lambda s: s))
+    for argv in (["bench_instruction_overhead"], ["bench_ablation_dtypes"],
+                 ["bench_fig15_cache_comp", "--smoke"]):
+        golden = "_".join(a.lstrip("-") for a in argv) + ".txt"
+        out.append((" ".join(argv), golden, argv, None, lambda s: s))
     return out
 
 
