@@ -23,7 +23,6 @@
 #include "common/metrics.hh"
 #include "common/report.hh"
 #include "common/result_cache.hh"
-#include "common/stats.hh"
 #include "common/sweep_supervisor.hh"
 #include "common/trace_writer.hh"
 
@@ -213,11 +212,8 @@ runStudyCell(const StudyModel &m, bool training, const StudyOptions &opt,
     // RunReport::global()) because an isolated worker has no report
     // installed but must still produce whatever row shape the
     // parent's cache key promises.
-    if (want_stats) {
-        StatGroup sg("system");
-        p.ctx->sys().dumpStats(sg);
-        row.stats = sg.dumpJson();
-    }
+    if (want_stats)
+        row.stats = p.ctx->sys().statsJson();
     std::string sim_ms;
     for (size_t pi = 0; pi < row.simMillis.size(); pi++) {
         sim_ms += pi ? "/" : "";
@@ -985,7 +981,8 @@ parseBenchArgs(int argc, char **argv, const std::string &title)
                 "  --metrics-interval N  simulated cycles between "
                 "samples\n"
                 "                    (default 100000; needs "
-                "--metrics)\n"
+                "--metrics; not with\n"
+                "                    --isolate-cells)\n"
                 "  --progress        live one-line sweep status on "
                 "stderr (TTY\n"
                 "                    only; off under --quiet)\n"
@@ -1089,6 +1086,9 @@ parseBenchArgs(int argc, char **argv, const std::string &title)
     fatal_if(metrics_interval_set && metrics_path.empty(),
              "--metrics-interval needs --metrics PATH (nothing is "
              "sampled without a sink)");
+    fatal_if(metrics_interval_set && h.isolateCells,
+             "--metrics-interval cannot be used with --isolate-cells "
+             "(isolated workers record no cycle-domain samples)");
     fatal_if(workers_set && !h.isolateCells,
              "--workers needs --isolate-cells (in-process "
              "parallelism is --jobs)");

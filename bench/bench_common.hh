@@ -133,8 +133,8 @@ struct StudyRow
     const NetworkSimResult &result(const std::string &policy) const;
 
     /**
-     * gem5-style stats-tree snapshot of the cell's system after all
-     * three policy runs (StatGroup::dumpJson() form). Only populated
+     * Stats-tree snapshot of the cell's system after all three policy
+     * runs (MultiCoreSystem::statsJson()). Only populated
      * when a --report is being collected; Null otherwise so the
      * default path stays cheap.
      */

@@ -3,8 +3,9 @@
  * A small dependency-free JSON value tree.
  *
  * Json is the document model behind every machine-readable output of
- * the simulator: StatGroup::dumpJson(), the RunReport written by the
- * bench binaries' --report flag, and zcomp_inspect --json. It keeps
+ * the simulator: the RunReport written by the bench binaries' --report
+ * flag (with each row's MultiCoreSystem::statsJson() tree), the
+ * --metrics records, and zcomp_inspect --json. It keeps
  * object keys in insertion order so emitted schemas are stable, and
  * it round-trips: parse(dump(v)) reproduces v for any tree built
  * through this API (integers stay exact; doubles print with enough

@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/log.hh"
-#include "common/stats.hh"
 #include "common/trace_writer.hh"
 
 namespace zcomp {
@@ -82,56 +82,36 @@ MetricsSink::finishGlobal()
 
 namespace {
 
-/** Match one path segment; a trailing '*' prefix-matches. */
-bool
-segMatch(const std::string &seg, const std::string &name)
+/** Every SampleCounters field and its record key, in record order. */
+struct CounterKey
 {
-    if (!seg.empty() && seg.back() == '*')
-        return name.compare(0, seg.size() - 1, seg, 0,
-                            seg.size() - 1) == 0;
-    return seg == name;
-}
+    const char *key;
+    uint64_t SampleCounters::*field;
+};
 
-/** Sum every counter the pattern's remaining segments reach. */
-uint64_t
-sumMatches(const StatGroup &g, const std::vector<std::string> &segs,
-           size_t i)
-{
-    uint64_t sum = 0;
-    if (i + 1 == segs.size()) {
-        for (const auto &c : g.counters())
-            if (segMatch(segs[i], c->name()))
-                sum += c->value();
-        return sum;
-    }
-    for (const auto &child : g.children())
-        if (segMatch(segs[i], child->name()))
-            sum += sumMatches(*child, segs, i + 1);
-    return sum;
-}
-
-std::vector<std::string>
-splitPath(const std::string &pattern)
-{
-    std::vector<std::string> segs;
-    size_t start = 0;
-    while (true) {
-        size_t dot = pattern.find('.', start);
-        if (dot == std::string::npos) {
-            segs.push_back(pattern.substr(start));
-            return segs;
-        }
-        segs.push_back(pattern.substr(start, dot - start));
-        start = dot + 1;
-    }
-}
+constexpr CounterKey counterKeys[] = {
+    {"mem.dram.bytes_read", &SampleCounters::dramBytesRead},
+    {"mem.dram.bytes_written", &SampleCounters::dramBytesWritten},
+    {"mem.links.l3_dram_bytes", &SampleCounters::l3DramBytes},
+    {"mem.l1_*.hits", &SampleCounters::l1Hits},
+    {"mem.l1_*.misses", &SampleCounters::l1Misses},
+    {"mem.l2_*.hits", &SampleCounters::l2Hits},
+    {"mem.l2_*.misses", &SampleCounters::l2Misses},
+    {"mem.l3.hits", &SampleCounters::l3Hits},
+    {"mem.l3.misses", &SampleCounters::l3Misses},
+    {"core*.zcomp_busy_cycles", &SampleCounters::zcompBusyCycles},
+    {"mem.noc.hops", &SampleCounters::nocHops},
+};
+static_assert(sizeof(SampleCounters) ==
+                  std::size(counterKeys) * sizeof(uint64_t),
+              "every SampleCounters field needs a CounterKey entry");
 
 } // namespace
 
 MetricsSampler::MetricsSampler(
     MetricsSink *sink, std::string cell, std::string policy,
     double interval_cycles, int num_cores,
-    std::function<void(StatGroup &)> provider)
+    std::function<SampleCounters()> provider)
     : sink_(sink), cell_(std::move(cell)), policy_(std::move(policy)),
       interval_(interval_cycles), numCores_(num_cores),
       provider_(std::move(provider))
@@ -142,30 +122,9 @@ MetricsSampler::MetricsSampler(
 }
 
 void
-MetricsSampler::addCounterProbe(const std::string &pattern)
-{
-    Probe p;
-    p.pattern = pattern;
-    p.segments = splitPath(pattern);
-    probes_.push_back(std::move(p));
-}
-
-void
-MetricsSampler::evalAll()
-{
-    StatGroup g("metrics");
-    provider_(g);
-    current_.resize(probes_.size());
-    for (size_t i = 0; i < probes_.size(); i++)
-        current_[i] = sumMatches(g, probes_[i].segments, 0);
-}
-
-void
 MetricsSampler::rebase(double now_cycle)
 {
-    evalAll();
-    for (size_t i = 0; i < probes_.size(); i++)
-        probes_[i].last = current_[i];
+    last_ = provider_();
     lastCycle_ = now_cycle;
     nextAt_ = (std::floor(now_cycle / interval_) + 1) * interval_;
 }
@@ -177,21 +136,14 @@ MetricsSampler::setLayerContext(const std::string &layer, double ratio)
     layerRatio_ = ratio;
 }
 
-double
-MetricsSampler::delta(const char *pattern) const
-{
-    for (size_t i = 0; i < probes_.size(); i++)
-        if (probes_[i].pattern == pattern)
-            return static_cast<double>(current_[i] -
-                                       probes_[i].last);
-    return 0.0;
-}
-
 void
 MetricsSampler::emit(double now_cycle, bool drain)
 {
     const double window = now_cycle - lastCycle_;
-    evalAll();
+    const SampleCounters now = provider_();
+    SampleCounters d;
+    for (const CounterKey &k : counterKeys)
+        d.*k.field = now.*k.field - last_.*k.field;
 
     Json rec = Json::object();
     rec["schema"] = metricsSchemaVersion;
@@ -206,32 +158,30 @@ MetricsSampler::emit(double now_cycle, bool drain)
 
     Json &counters = rec["counters"];
     counters = Json::object();
-    for (size_t i = 0; i < probes_.size(); i++)
-        counters[probes_[i].pattern] =
-            current_[i] - probes_[i].last;
+    for (const CounterKey &k : counterKeys)
+        counters[k.key] = d.*k.field;
 
     const double inv = window > 0 ? 1.0 / window : 0.0;
-    auto rate = [](double misses, double hits) {
-        double total = misses + hits;
-        return total > 0 ? misses / total : 0.0;
+    auto rate = [](uint64_t misses, uint64_t hits) {
+        double total = static_cast<double>(misses) +
+                       static_cast<double>(hits);
+        return total > 0 ? static_cast<double>(misses) / total : 0.0;
+    };
+    auto per_cycle = [inv](uint64_t n) {
+        return static_cast<double>(n) * inv;
     };
     Json &derived = rec["derived"];
     derived = Json::object();
-    derived["dramReadBytesPerCycle"] =
-        delta("mem.dram.bytes_read") * inv;
-    derived["dramWriteBytesPerCycle"] =
-        delta("mem.dram.bytes_written") * inv;
-    derived["l1MissRate"] =
-        rate(delta("mem.l1_*.misses"), delta("mem.l1_*.hits"));
-    derived["l2MissRate"] =
-        rate(delta("mem.l2_*.misses"), delta("mem.l2_*.hits"));
-    derived["l3MissRate"] =
-        rate(delta("mem.l3.misses"), delta("mem.l3.hits"));
+    derived["dramReadBytesPerCycle"] = per_cycle(d.dramBytesRead);
+    derived["dramWriteBytesPerCycle"] = per_cycle(d.dramBytesWritten);
+    derived["l1MissRate"] = rate(d.l1Misses, d.l1Hits);
+    derived["l2MissRate"] = rate(d.l2Misses, d.l2Hits);
+    derived["l3MissRate"] = rate(d.l3Misses, d.l3Hits);
     derived["zcompBusyFraction"] =
-        numCores_ > 0 ? delta("core*.zcomp_busy_cycles") * inv /
+        numCores_ > 0 ? per_cycle(d.zcompBusyCycles) /
                             static_cast<double>(numCores_)
                       : 0.0;
-    derived["nocHopsPerCycle"] = delta("mem.noc.hops") * inv;
+    derived["nocHopsPerCycle"] = per_cycle(d.nocHops);
     derived["layerCompressionRatio"] = layerRatio_;
 
     // The counter tracks mirror the derived block 1:1, on the same
@@ -246,8 +196,7 @@ MetricsSampler::emit(double now_cycle, bool drain)
     if (sink_)
         sink_->append(std::move(rec));
 
-    for (size_t i = 0; i < probes_.size(); i++)
-        probes_[i].last = current_[i];
+    last_ = now;
     lastCycle_ = now_cycle;
     emitted_++;
 }

@@ -2,12 +2,12 @@
  * @file
  * Time-series telemetry in two clock domains (schema zcomp-metrics-v1).
  *
- * Cycle domain - MetricsSampler: registers probes against the names of
- * existing StatGroup counters and samples them every N *simulated*
- * cycles from the MultiCoreSystem stepping loop, emitting one JSONL
- * record per crossing with the windowed counter deltas and derived
- * rates (DRAM bytes/cycle, per-level miss rates, zcomp busy fraction,
- * NoC hops/cycle, the live per-layer compression ratio). When a
+ * Cycle domain - MetricsSampler: reads the simulator's counters
+ * (SampleCounters) every N *simulated* cycles from the MultiCoreSystem
+ * stepping loop, emitting one JSONL record per crossing with the
+ * windowed counter deltas and derived rates (DRAM bytes/cycle,
+ * per-level miss rates, zcomp busy fraction, NoC hops/cycle, the live
+ * per-layer compression ratio). When a
  * Perfetto trace is active (--trace), every derived metric is also
  * emitted as a counter track on the run's simulated track group, so
  * the timelines render next to the PR 2 spans.
@@ -27,9 +27,8 @@
  * Invariants: with no --metrics flag there is no sink, no sampler is
  * ever constructed, and the stepping loop's only cost is one
  * always-false comparison against +infinity; stdout and every other
- * artifact stay byte-identical. Sampling never mutates simulation
- * state (probes read a scratch stats tree), so RunStats are identical
- * with metrics on or off.
+ * artifact stay byte-identical. Sampling only reads simulation state,
+ * so RunStats are identical with metrics on or off.
  */
 
 #ifndef ZCOMP_COMMON_METRICS_HH
@@ -40,14 +39,11 @@
 #include <cstdio>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "common/annotate.hh"
 #include "common/json.hh"
 
 namespace zcomp {
-
-class StatGroup;
 
 /** Schema tag carried by every metrics record. */
 constexpr const char *metricsSchemaVersion = "zcomp-metrics-v1";
@@ -106,20 +102,36 @@ class MetricsSink
 };
 
 /**
+ * The machine-wide counters one sample reads, each summed over the
+ * cores (per-core L1/L2 and zcomp busy cycles) or read from the one
+ * shared L3, NoC and DRAM.
+ */
+struct SampleCounters
+{
+    uint64_t dramBytesRead = 0;
+    uint64_t dramBytesWritten = 0;
+    uint64_t l3DramBytes = 0;
+    uint64_t l1Hits = 0;
+    uint64_t l1Misses = 0;
+    uint64_t l2Hits = 0;
+    uint64_t l2Misses = 0;
+    uint64_t l3Hits = 0;
+    uint64_t l3Misses = 0;
+    uint64_t zcompBusyCycles = 0;   //!< sum of each core's truncated count
+    uint64_t nocHops = 0;
+};
+
+/**
  * Cycle-domain sampler for one (cell, policy) simulation run.
  *
- * Probes are registered by stat-path pattern against the tree a
- * provider callback populates (MultiCoreSystem::dumpStats for the
- * real simulator; tests hand-build trees). A pattern is a '.'-joined
- * path whose segments may end in a '*' suffix wildcard - e.g.
- * "mem.l1_*.misses" sums the misses counter of every per-core L1 and
- * "core*.zcomp_busy_cycles" sums over all cores. The leaf segment
- * must name a registered counter (tools/zcomp_lint.py metrics-names
- * enforces this against the addCounter() inventory).
+ * A provider callback reads the counters (ExecContext's reads the
+ * simulator; tests return fakes). Records name each counter by its
+ * stats-tree path, with '*' standing for "summed over every core":
+ * "mem.l1_*.misses", "core*.zcomp_busy_cycles".
  *
  * sample(now) is invoked from the stepping loop whenever the global
- * low-water mark crosses nextSampleCycle(); it evaluates every probe,
- * emits one "sample" record with the per-probe deltas over the
+ * low-water mark crosses nextSampleCycle(); it reads the counters,
+ * emits one "sample" record with their deltas over the
  * window (now - previous sample) plus derived rates, and advances the
  * next crossing to the smallest interval multiple > now. finish(now)
  * emits a final short-window record (flagged "drain": true) covering
@@ -135,14 +147,11 @@ class MetricsSampler
     MetricsSampler(MetricsSink *sink, std::string cell,
                    std::string policy, double interval_cycles,
                    int num_cores,
-                   std::function<void(StatGroup &)> provider);
-
-    /** Register a counter probe (see class comment for the syntax). */
-    void addCounterProbe(const std::string &pattern);
+                   std::function<SampleCounters()> provider);
 
     /**
-     * Re-evaluate every probe as the new delta baseline and restart
-     * the window at @p now_cycle. Call once after registering probes
+     * Read the counters as the new delta baseline and restart the
+     * window at @p now_cycle. Call once before the first sample
      * (counters may be nonzero when caches start warm).
      */
     void rebase(double now_cycle);
@@ -174,34 +183,22 @@ class MetricsSampler
     uint64_t samplesEmitted() const { return emitted_; }
 
   private:
-    struct Probe
-    {
-        std::string pattern;
-        std::vector<std::string> segments;
-        uint64_t last = 0;      //!< value at the previous sample
-    };
-
     void emit(double now_cycle, bool drain);
-    void evalAll();
-    double delta(const char *pattern) const;
 
     MetricsSink *sink_;
     std::string cell_;
     std::string policy_;
     double interval_;
     int numCores_;
-    std::function<void(StatGroup &)> provider_;
+    std::function<SampleCounters()> provider_;
 
-    std::vector<Probe> probes_;
+    SampleCounters last_;       //!< counters at the previous sample
     double lastCycle_ = 0;
     double nextAt_;
     int tracePid_ = -1;
     std::string layer_;
     double layerRatio_ = 1.0;
     uint64_t emitted_ = 0;
-
-    // Scratch for one evaluation pass; reused across samples.
-    mutable std::vector<uint64_t> current_;
 };
 
 /**

@@ -95,26 +95,29 @@ MultiCoreSystem::breakdown() const
     return sum;
 }
 
-void
-MultiCoreSystem::dumpStats(StatGroup &group) const
+Json
+MultiCoreSystem::statsJson() const
 {
-    group.addCounter("cycles", "global cycles")
-        .set(static_cast<uint64_t>(globalTime_));
+    Json counters = Json::object();
+    counters["cycles"] = static_cast<uint64_t>(globalTime_);
+    Json children = Json::object();
     for (const auto &core : cores_) {
-        StatGroup &g =
-            group.addChild(format("core%d", core->id()));
         const CycleBreakdown &bd = core->breakdown();
-        g.addCounter("compute_cycles", "issue/logic-bound cycles")
-            .set(static_cast<uint64_t>(bd.compute));
-        g.addCounter("memory_cycles", "load/store stall cycles")
-            .set(static_cast<uint64_t>(bd.memory));
-        g.addCounter("sync_cycles", "barrier wait cycles")
-            .set(static_cast<uint64_t>(bd.sync));
-        g.addCounter("zcomp_busy_cycles",
-                     "ZCOMP logic-unit occupancy")
-            .set(static_cast<uint64_t>(core->zcompBusyCycles()));
+        Json c = Json::object();
+        c["compute_cycles"] = static_cast<uint64_t>(bd.compute);
+        c["memory_cycles"] = static_cast<uint64_t>(bd.memory);
+        c["sync_cycles"] = static_cast<uint64_t>(bd.sync);
+        c["zcomp_busy_cycles"] =
+            static_cast<uint64_t>(core->zcompBusyCycles());
+        Json g = Json::object();
+        g["counters"] = std::move(c);
+        children[format("core%d", core->id())] = std::move(g);
     }
-    mem_.dumpStats(group.addChild("mem"));
+    children["mem"] = mem_.statsJson();
+    Json tree = Json::object();
+    tree["counters"] = std::move(counters);
+    tree["children"] = std::move(children);
+    return tree;
 }
 
 void

@@ -60,10 +60,18 @@ class MultiCoreSystem
     /** Aggregate cycle breakdown summed over all cores. */
     CycleBreakdown breakdown() const;
 
-    /** Populate a gem5-style stats report (cores + hierarchy). */
-    void dumpStats(StatGroup &group) const;
+    /**
+     * The --report rows' stats tree: {"counters": {"cycles"},
+     * "children": {core0..N, "mem"}}, each core a group of its
+     * compute/memory/sync/zcomp-busy cycles, truncated to integers.
+     */
+    Json statsJson() const;
 
     MemoryHierarchy &mem() { return mem_; }
+    const CoreModel &core(int id) const
+    {
+        return *cores_[static_cast<size_t>(id)];
+    }
     const ArchConfig &config() const { return cfg_; }
 
     /** Reset time, breakdowns and hierarchy statistics (keep caches). */

@@ -21,7 +21,6 @@
 
 #include "common/check.hh"
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "mem/addr.hh"
 
 namespace zcomp {

@@ -1,11 +1,37 @@
 #include "mem/hierarchy.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/check.hh"
 #include "common/log.hh"
 
 namespace zcomp {
+
+namespace {
+
+/** Every CacheCounters field and its stats-tree name, in report order. */
+struct CacheField
+{
+    const char *name;
+    uint64_t CacheCounters::*field;
+};
+
+constexpr CacheField cacheFields[] = {
+    {"hits", &CacheCounters::hits},
+    {"misses", &CacheCounters::misses},
+    {"writebacks", &CacheCounters::writebacks},
+    {"evictions", &CacheCounters::evictions},
+    {"invalidations", &CacheCounters::invalidations},
+    {"pf_fills", &CacheCounters::prefetchFills},
+    {"pf_useful", &CacheCounters::prefetchUseful},
+    {"pf_unused", &CacheCounters::prefetchUnused},
+};
+static_assert(sizeof(CacheCounters) ==
+                  std::size(cacheFields) * sizeof(uint64_t),
+              "every CacheCounters field needs a CacheField entry");
+
+} // namespace
 
 double
 HierSnapshot::prefetchAccuracy() const
@@ -431,58 +457,54 @@ MemoryHierarchy::snapshot() const
     return s;
 }
 
-void
-MemoryHierarchy::dumpStats(StatGroup &group) const
+Json
+MemoryHierarchy::statsJson() const
 {
     HierSnapshot s = snapshot();
-    StatGroup &links = group.addChild("links");
-    links.addCounter("core_l1_bytes", "requested bytes at the cores")
-        .set(s.coreL1Bytes);
-    links.addCounter("l1_l2_bytes", "L1<->L2 fills + writebacks")
-        .set(s.l1L2Bytes);
-    links.addCounter("l2_l3_bytes", "L2<->L3 fills + writebacks")
-        .set(s.l2L3Bytes);
-    links.addCounter("l3_dram_bytes", "off-chip DRAM transfers")
-        .set(s.l3DramBytes);
+    Json children = Json::object();
+    auto group = [&children](const std::string &name, Json counters) {
+        Json g = Json::object();
+        g["counters"] = std::move(counters);
+        children[name] = std::move(g);
+    };
 
-    group.addChild("noc")
-        .addCounter("hops", "mesh hops traversed (demand + prefetch)")
-        .set(s.nocHops);
+    Json links = Json::object();
+    links["core_l1_bytes"] = s.coreL1Bytes;
+    links["l1_l2_bytes"] = s.l1L2Bytes;
+    links["l2_l3_bytes"] = s.l2L3Bytes;
+    links["l3_dram_bytes"] = s.l3DramBytes;
+    group("links", std::move(links));
 
-    auto fill_cache = [](StatGroup &g, const Cache &c) {
-        const CacheCounters &n = c.counters();
-        g.addCounter("hits", "demand hits").set(n.hits);
-        g.addCounter("misses", "demand misses").set(n.misses);
-        g.addCounter("writebacks", "dirty evictions").set(n.writebacks);
-        g.addCounter("evictions", "total victims").set(n.evictions);
-        g.addCounter("invalidations", "back-invalidations")
-            .set(n.invalidations);
-        g.addCounter("pf_fills", "prefetch fills").set(n.prefetchFills);
-        g.addCounter("pf_useful", "prefetches hit by demand")
-            .set(n.prefetchUseful);
-        g.addCounter("pf_unused", "prefetches evicted unused")
-            .set(n.prefetchUnused);
+    Json noc = Json::object();
+    noc["hops"] = s.nocHops;
+    group("noc", std::move(noc));
+
+    auto cache = [&group](const std::string &name, const Cache &c) {
+        Json counters = Json::object();
+        for (const CacheField &f : cacheFields)
+            counters[f.name] = c.counters().*f.field;
+        group(name, std::move(counters));
     };
     for (int c = 0; c < cfg_.numCores; c++) {
         auto uc = static_cast<size_t>(c);
-        fill_cache(group.addChild(format("l1_%d", c)), *l1_[uc]);
-        fill_cache(group.addChild(format("l2_%d", c)), *l2_[uc]);
+        cache(format("l1_%d", c), *l1_[uc]);
+        cache(format("l2_%d", c), *l2_[uc]);
     }
-    fill_cache(group.addChild("l3"), *l3_);
+    cache("l3", *l3_);
 
-    StatGroup &dram = group.addChild("dram");
-    dram.addCounter("bytes_read", "DRAM read bytes")
-        .set(dram_.bytesRead);
-    dram.addCounter("bytes_written", "DRAM write bytes")
-        .set(dram_.bytesWritten);
-    dram.addCounter("busy_cycles", "aggregate channel busy cycles")
-        .set(static_cast<uint64_t>(dram_.busyCycles()));
-    if (dram_.injectedBitflips() > 0) {
-        // Only present under --fault-spec so fault-free stat dumps stay
-        // byte-identical to earlier releases.
-        dram.addCounter("fault_bitflips", "injected corrected ECC events")
-            .set(dram_.injectedBitflips());
-    }
+    Json dram = Json::object();
+    dram["bytes_read"] = dram_.bytesRead;
+    dram["bytes_written"] = dram_.bytesWritten;
+    dram["busy_cycles"] = static_cast<uint64_t>(dram_.busyCycles());
+    // Only present under --fault-spec, so fault-free stats trees keep
+    // their shape.
+    if (dram_.injectedBitflips() > 0)
+        dram["fault_bitflips"] = dram_.injectedBitflips();
+    group("dram", std::move(dram));
+
+    Json tree = Json::object();
+    tree["children"] = std::move(children);
+    return tree;
 }
 
 void

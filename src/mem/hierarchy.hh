@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/stats.hh"
+#include "common/json.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/noc.hh"
@@ -110,8 +110,12 @@ class MemoryHierarchy
      */
     void checkInvariants() const;
 
-    /** Populate a gem5-style stats report under the given group. */
-    void dumpStats(StatGroup &group) const;
+    /**
+     * The counters as a stats tree: {"children": {name: group}}, one
+     * {"counters": {name: value}} group each for links, noc, every
+     * l1_N/l2_N, l3 and dram (the --report rows' "mem" subtree).
+     */
+    Json statsJson() const;
 
     /** Clear counters but keep cache contents (post-warmup). */
     void resetStats();

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/log.hh"
-#include "common/stats.hh"
 #include "common/trace_writer.hh"
 
 namespace zcomp {
@@ -184,24 +183,30 @@ ExecContext::makeMetricsSampler(const std::string &cell,
     MetricsSink *sink = MetricsSink::global();
     if (!sink)
         return nullptr;
+    auto read = [this] {
+        const HierSnapshot h = sys_.mem().snapshot();
+        const Dram &dram = sys_.mem().dram();
+        SampleCounters c;
+        c.dramBytesRead = dram.bytesRead;
+        c.dramBytesWritten = dram.bytesWritten;
+        c.l3DramBytes = h.l3DramBytes;
+        c.l1Hits = h.l1Hits;
+        c.l1Misses = h.l1Misses;
+        c.l2Hits = h.l2Hits;
+        c.l2Misses = h.l2Misses;
+        c.l3Hits = h.l3Hits;
+        c.l3Misses = h.l3Misses;
+        // Each core's count truncated, then summed, as statsJson()
+        // reports them.
+        for (int i = 0; i < sys_.config().numCores; i++)
+            c.zcompBusyCycles +=
+                static_cast<uint64_t>(sys_.core(i).zcompBusyCycles());
+        c.nocHops = h.nocHops;
+        return c;
+    };
     auto s = std::make_unique<MetricsSampler>(
         sink, cell, policy, sink->intervalCycles(),
-        sys_.config().numCores,
-        [this](StatGroup &g) { sys_.dumpStats(g); });
-    // The probe patterns sum over dumpStats() subtrees; leaf names
-    // must come from the registered addCounter() inventory (enforced
-    // by the zcomp_lint metrics-names rule).
-    s->addCounterProbe("mem.dram.bytes_read");
-    s->addCounterProbe("mem.dram.bytes_written");
-    s->addCounterProbe("mem.links.l3_dram_bytes");
-    s->addCounterProbe("mem.l1_*.hits");
-    s->addCounterProbe("mem.l1_*.misses");
-    s->addCounterProbe("mem.l2_*.hits");
-    s->addCounterProbe("mem.l2_*.misses");
-    s->addCounterProbe("mem.l3.hits");
-    s->addCounterProbe("mem.l3.misses");
-    s->addCounterProbe("core*.zcomp_busy_cycles");
-    s->addCounterProbe("mem.noc.hops");
+        sys_.config().numCores, read);
     s->setTracePid(tracePid_);
     s->rebase(sys_.now());
     return s;

@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/rng.hh"
 #include "mem/hierarchy.hh"
+#include "stats_path.hh"
 
 using namespace zcomp;
 
@@ -208,15 +207,13 @@ TEST(Hierarchy, ResetStatsKeepsContents)
     HierSnapshot s = mem.snapshot();
     EXPECT_EQ(s.coreL1Bytes, 0u);
 
-    StatGroup g("mem");
-    mem.dumpStats(g);
+    Json stats = mem.statsJson();
     int checked = 0;
-    for (const auto &child : g.children()) {
-        const std::string &n = child->name();
+    for (const auto &[n, child] : stats.find("children")->members()) {
         if (n.rfind("l1_", 0) != 0 && n.rfind("l2_", 0) != 0 && n != "l3")
             continue;
-        for (const auto &c : child->counters()) {
-            EXPECT_EQ(c->value(), 0u) << n << "." << c->name();
+        for (const auto &[c, value] : child.find("counters")->members()) {
+            EXPECT_EQ(value.asUint(), 0u) << n << "." << c;
             checked++;
         }
     }
@@ -275,14 +272,6 @@ TEST(Hierarchy, ResetAllMatchesFreshHierarchy)
         }
         return out;
     };
-    auto dump = [](const MemoryHierarchy &mem) {
-        StatGroup g("mem");
-        mem.dumpStats(g);
-        std::ostringstream os;
-        g.dump(os);
-        return os.str();
-    };
-
     MemoryHierarchy reused(cfg);
     traffic(reused);
     reused.resetAll();
@@ -294,7 +283,7 @@ TEST(Hierarchy, ResetAllMatchesFreshHierarchy)
         ASSERT_EQ(a[i].level, b[i].level) << "access " << i;
         ASSERT_EQ(a[i].latency, b[i].latency) << "access " << i;
     }
-    EXPECT_EQ(dump(reused), dump(fresh));
+    EXPECT_EQ(reused.statsJson().dump(), fresh.statsJson().dump());
     EXPECT_GT(fresh.snapshot().l2PrefIssued, 0u);
 }
 
@@ -362,10 +351,9 @@ TEST(Hierarchy, DumpStatsStandalone)
     ArchConfig cfg = smallCfg();
     MemoryHierarchy mem(cfg);
     mem.access(0, 0x1000, 64, false, 0.0, 1);
-    StatGroup g("mem");
-    mem.dumpStats(g);
-    ASSERT_NE(g.findCounter("links.core_l1_bytes"), nullptr);
-    EXPECT_EQ(g.findCounter("links.core_l1_bytes")->value(), 64u);
-    ASSERT_NE(g.findCounter("l1_0.misses"), nullptr);
-    EXPECT_EQ(g.findCounter("l1_0.misses")->value(), 1u);
+    Json stats = mem.statsJson();
+    ASSERT_NE(statsCounter(stats, "links.core_l1_bytes"), nullptr);
+    EXPECT_EQ(statsCounter(stats, "links.core_l1_bytes")->asUint(), 64u);
+    ASSERT_NE(statsCounter(stats, "l1_0.misses"), nullptr);
+    EXPECT_EQ(statsCounter(stats, "l1_0.misses")->asUint(), 1u);
 }

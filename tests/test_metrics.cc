@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the time-series telemetry subsystem (common/metrics.hh):
- * probe pattern matching, windowed-delta math, drain semantics, the
- * sweep progress stream, and the invariant that sampling never
- * perturbs simulation results.
+ * windowed-delta math, drain semantics, the sweep progress stream,
+ * agreement of the sampled counters with the RunStats traffic, and
+ * the invariant that sampling never perturbs simulation results.
  */
 
 #include <cstdio>
@@ -16,7 +16,6 @@
 
 #include "common/json.hh"
 #include "common/metrics.hh"
-#include "common/stats.hh"
 #include "dnn/layers/activation.hh"
 #include "dnn/layers/conv.hh"
 #include "dnn/layers/fc.hh"
@@ -111,26 +110,21 @@ makeSetup(int batch = 4)
 
 } // namespace
 
-TEST(MetricsSampler, WildcardProbesSumSubtrees)
+TEST(MetricsSampler, PerCoreSumsReportWindowDeltas)
 {
-    TempPath tmp("test_metrics_wildcard.jsonl");
+    TempPath tmp("test_metrics_per_core.jsonl");
     MetricsSink sink(tmp.path);
 
+    // A two-core machine: the provider sums each core's counters, as
+    // ExecContext's does, and the records carry the sums' deltas.
     uint64_t l1_0 = 0, l1_1 = 0, busy0 = 0, busy1 = 0;
-    auto provider = [&](StatGroup &g) {
-        StatGroup &mem = g.addChild("mem");
-        mem.addChild("l1_0").addCounter("hits", "").set(l1_0);
-        mem.addChild("l1_1").addCounter("hits", "").set(l1_1);
-        g.addChild("core0")
-            .addCounter("zcomp_busy_cycles", "")
-            .set(busy0);
-        g.addChild("core1")
-            .addCounter("zcomp_busy_cycles", "")
-            .set(busy1);
+    auto provider = [&] {
+        SampleCounters c;
+        c.l1Hits = l1_0 + l1_1;
+        c.zcompBusyCycles = busy0 + busy1;
+        return c;
     };
     MetricsSampler s(&sink, "cell", "policy", 100, 2, provider);
-    s.addCounterProbe("mem.l1_*.hits");
-    s.addCounterProbe("core*.zcomp_busy_cycles");
     s.rebase(0);
 
     l1_0 = 10;
@@ -147,6 +141,9 @@ TEST(MetricsSampler, WildcardProbesSumSubtrees)
     const Json &c0 = sub(recs[0], "counters");
     EXPECT_DOUBLE_EQ(num(c0, "mem.l1_*.hits"), 42.0);
     EXPECT_DOUBLE_EQ(num(c0, "core*.zcomp_busy_cycles"), 12.0);
+    // 12 busy cycles over a 100-cycle window on 2 cores.
+    EXPECT_DOUBLE_EQ(num(sub(recs[0], "derived"), "zcompBusyFraction"),
+                     0.06);
     const Json &c1 = sub(recs[1], "counters");
     EXPECT_DOUBLE_EQ(num(c1, "mem.l1_*.hits"), 1.0);
     EXPECT_DOUBLE_EQ(num(c1, "core*.zcomp_busy_cycles"), 0.0);
@@ -158,14 +155,13 @@ TEST(MetricsSampler, WindowedDeltasAndDerivedRates)
     MetricsSink sink(tmp.path);
 
     uint64_t rd = 1000, wr = 0;
-    auto provider = [&](StatGroup &g) {
-        StatGroup &dram = g.addChild("mem").addChild("dram");
-        dram.addCounter("bytes_read", "").set(rd);
-        dram.addCounter("bytes_written", "").set(wr);
+    auto provider = [&] {
+        SampleCounters c;
+        c.dramBytesRead = rd;
+        c.dramBytesWritten = wr;
+        return c;
     };
     MetricsSampler s(&sink, "resnet", "zcomp", 100, 4, provider);
-    s.addCounterProbe("mem.dram.bytes_read");
-    s.addCounterProbe("mem.dram.bytes_written");
     // rebase() captures the warm-start baseline; the 1000 preexisting
     // bytes must never appear in any delta.
     s.rebase(0);
@@ -212,13 +208,13 @@ TEST(MetricsSampler, ShortRunYieldsOneDrainRecord)
     MetricsSink sink(tmp.path);
 
     uint64_t hops = 0;
-    auto provider = [&](StatGroup &g) {
-        g.addChild("mem").addChild("noc").addCounter("hops", "").set(
-            hops);
+    auto provider = [&] {
+        SampleCounters c;
+        c.nocHops = hops;
+        return c;
     };
     // Interval far beyond the run length: the loop never crosses it.
     MetricsSampler s(&sink, "c", "p", 1e9, 1, provider);
-    s.addCounterProbe("mem.noc.hops");
     s.rebase(0);
 
     hops = 17;
@@ -238,7 +234,7 @@ TEST(MetricsSampler, ShortRunYieldsOneDrainRecord)
 
 TEST(MetricsSampler, NextSampleCycleAdvances)
 {
-    auto provider = [](StatGroup &) {};
+    auto provider = [] { return SampleCounters{}; };
     MetricsSampler s(nullptr, "c", "p", 100, 1, provider);
     EXPECT_DOUBLE_EQ(s.nextSampleCycle(), 100.0);
 
@@ -296,6 +292,42 @@ TEST(Metrics, SamplingDoesNotPerturbSimResults)
     }
     // The run ends mid-window, so the last record is the drain.
     EXPECT_NE(recs.back().find("drain"), nullptr);
+}
+
+TEST(Metrics, SampledCountersSumToRunTraffic)
+{
+    // The sampler's typed reader and the RunStats path read the same
+    // counters: over one run, the windows' deltas add up to the run's
+    // traffic.
+    NetworkSimConfig cfg;
+    cfg.policy = IoPolicy::Zcomp;
+
+    TempPath tmp("test_metrics_sum.jsonl");
+    MetricsSink::enableGlobal(tmp.path, 20000);
+    SimSetup s = makeSetup();
+    NetworkSimResult r = s.sim->run(cfg);
+    MetricsSink::finishGlobal();
+
+    std::vector<Json> recs = readJsonl(tmp.path);
+    ASSERT_GT(recs.size(), 1u);
+    auto sum = [&](const char *key) {
+        uint64_t total = 0;
+        for (const Json &rec : recs)
+            total += sub(sub(rec, "counters"), key).asUint();
+        return total;
+    };
+    const HierSnapshot &t = r.total.traffic;
+    EXPECT_GT(t.l1Hits, 0u);
+    EXPECT_EQ(sum("mem.l1_*.hits"), t.l1Hits);
+    EXPECT_EQ(sum("mem.l1_*.misses"), t.l1Misses);
+    EXPECT_EQ(sum("mem.l2_*.hits"), t.l2Hits);
+    EXPECT_EQ(sum("mem.l2_*.misses"), t.l2Misses);
+    EXPECT_EQ(sum("mem.l3.hits"), t.l3Hits);
+    EXPECT_EQ(sum("mem.l3.misses"), t.l3Misses);
+    EXPECT_EQ(sum("mem.noc.hops"), t.nocHops);
+    EXPECT_EQ(sum("mem.links.l3_dram_bytes"), t.l3DramBytes);
+    // The zcomp policy keeps the logic units busy.
+    EXPECT_GT(sum("core*.zcomp_busy_cycles"), 0u);
 }
 
 TEST(Metrics, SampleStreamIsDeterministicModuloHostMs)

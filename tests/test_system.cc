@@ -1,10 +1,10 @@
 /** @file Unit tests for the multicore system and phase barriers. */
 
-#include <sstream>
-
 #include <gtest/gtest.h>
 
+#include "common/fault.hh"
 #include "cpu/system.hh"
+#include "stats_path.hh"
 
 using namespace zcomp;
 
@@ -18,6 +18,23 @@ cfg4()
     cfg.prefetch.l1IpStride = false;
     cfg.prefetch.l2Stream = false;
     return cfg;
+}
+
+/** 64 cold line loads per core on four cores: every one reads DRAM. */
+TracePhase
+coldLoads()
+{
+    TracePhase p("work", 4);
+    for (int c = 0; c < 4; c++) {
+        for (int i = 0; i < 64; i++) {
+            p.perCore[static_cast<size_t>(c)].push_back(
+                TraceOp::load(0x10000000 + static_cast<Addr>(c) *
+                                               0x100000 +
+                                  static_cast<Addr>(i) * 64,
+                              64, 1, 1));
+        }
+    }
+    return p;
 }
 
 } // namespace
@@ -129,34 +146,48 @@ TEST(System, FewerTracesThanCoresIsAllowed)
 TEST(System, DumpStatsReport)
 {
     MultiCoreSystem sys(cfg4());
-    TracePhase p("work", 4);
-    for (int c = 0; c < 4; c++) {
-        for (int i = 0; i < 64; i++) {
-            p.perCore[static_cast<size_t>(c)].push_back(
-                TraceOp::load(0x10000000 + static_cast<Addr>(c) *
-                                               0x100000 +
-                                  static_cast<Addr>(i) * 64,
-                              64, 1, 1));
-        }
-    }
-    sys.runPhase(p);
+    sys.runPhase(coldLoads());
 
-    StatGroup stats("sim");
-    sys.dumpStats(stats);
-    const Counter *cycles = stats.findCounter("cycles");
+    Json stats = sys.statsJson();
+    const Json *cycles = statsCounter(stats, "cycles");
     ASSERT_NE(cycles, nullptr);
-    EXPECT_GT(cycles->value(), 0u);
+    EXPECT_GT(cycles->asUint(), 0u);
     // Per-core and hierarchy subtrees are populated.
-    EXPECT_NE(stats.findCounter("core0.memory_cycles"), nullptr);
-    const Counter *dram_read =
-        stats.findCounter("mem.dram.bytes_read");
+    EXPECT_NE(statsCounter(stats, "core0.memory_cycles"), nullptr);
+    const Json *dram_read = statsCounter(stats, "mem.dram.bytes_read");
     ASSERT_NE(dram_read, nullptr);
-    EXPECT_EQ(dram_read->value(), 4u * 64 * 64);
-    EXPECT_NE(stats.findCounter("mem.l3.misses"), nullptr);
-    EXPECT_NE(stats.findCounter("mem.links.l3_dram_bytes"), nullptr);
+    EXPECT_EQ(dram_read->asUint(), 4u * 64 * 64);
+    EXPECT_NE(statsCounter(stats, "mem.l3.misses"), nullptr);
+    EXPECT_NE(statsCounter(stats, "mem.links.l3_dram_bytes"), nullptr);
 
-    // The report renders without crashing and contains key names.
-    std::ostringstream os;
-    stats.dump(os);
-    EXPECT_NE(os.str().find("bytes_read"), std::string::npos);
+    // "mem" has no counters of its own, so no "counters" key.
+    const Json *mem = stats.find("children")->find("mem");
+    ASSERT_NE(mem, nullptr);
+    EXPECT_EQ(mem->find("counters"), nullptr);
+}
+
+TEST(System, StatsJsonFaultBitflipsOnlyWhenInjected)
+{
+    MultiCoreSystem clean(cfg4());
+    clean.runPhase(coldLoads());
+    Json clean_stats = clean.statsJson();
+    EXPECT_EQ(statsCounter(clean_stats, "mem.dram.fault_bitflips"),
+              nullptr);
+
+    FaultInjector::global().configure("dram.bitflip:1");
+    MultiCoreSystem faulty(cfg4());
+    faulty.runPhase(coldLoads());
+    FaultInjector::global().reset();
+    Json stats = faulty.statsJson();
+    const Json *flips = statsCounter(stats, "mem.dram.fault_bitflips");
+    ASSERT_NE(flips, nullptr);
+    EXPECT_GT(flips->asUint(), 0u);
+    EXPECT_EQ(flips->asUint(), faulty.mem().dram().injectedBitflips());
+    // The key comes last in the dram group.
+    const Json *dram = stats.find("children")
+                           ->find("mem")
+                           ->find("children")
+                           ->find("dram")
+                           ->find("counters");
+    EXPECT_EQ(dram->members().back().first, "fault_bitflips");
 }

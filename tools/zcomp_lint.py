@@ -11,10 +11,6 @@ header-guard        every .hh uses either #pragma once or a
                     derived from the path (ZCOMP_<DIR>_<FILE>_HH).
 using-namespace     no `using namespace` at header scope; it leaks
                     into every includer.
-stat-names          within a file, the same receiver must not register
-                    two stats with the same name (addCounter /
-                    addHistogram) - duplicate names silently shadow
-                    each other in reports.
 raw-new             no raw `new` / `delete` outside explicitly
                     annotated ownership-handoff sites; everything else
                     uses containers or smart pointers.
@@ -31,11 +27,6 @@ simd-isolation      no direct <immintrin.h>/<x86intrin.h> include
                     so the rest of the tree stays baseline-ISA and the
                     scalar/SIMD differential tests cover every vector
                     code path.
-metrics-names       the leaf segment of every addCounterProbe()
-                    pattern must name a counter somewhere registered
-                    via addCounter(), so telemetry probes cannot
-                    silently drift away from the stats tree and read
-                    zeros forever.
 raw-mutex           no std::mutex / std::lock_guard / std::
                     condition_variable etc. outside
                     src/common/annotate.hh - all locking goes through
@@ -144,10 +135,9 @@ def suppressed_lines(lines, rule):
     return out
 
 
-def strip_comments_and_strings(lines, keep_strings=False):
-    """Blank out comments (and, unless keep_strings, string/char
-    literals), keeping line structure so findings still point at the
-    right line."""
+def strip_comments_and_strings(lines):
+    """Blank out comments and string/char literals, keeping line
+    structure so findings still point at the right line."""
     text = "\n".join(lines)
     out = []
     i = 0
@@ -188,13 +178,11 @@ def strip_comments_and_strings(lines, keep_strings=False):
             out.append("\n" if c == "\n" else " ")
         else:  # inside a literal
             if c == "\\":
-                out.append(text[i:i + 2] if keep_strings else "  ")
+                out.append("  ")
                 i += 2
                 continue
             if c == state:
                 state = None
-                out.append(c)
-            elif keep_strings:
                 out.append(c)
             else:
                 out.append("\n" if c == "\n" else " ")
@@ -288,30 +276,6 @@ def check_using_namespace(root, findings):
                     "using-namespace", relpath(root, path), i,
                     "using namespace in a header leaks into includers",
                     m.start() + 1))
-
-
-STAT_RE = re.compile(
-    r"([A-Za-z_][\w\[\]\.\->]*(?:\(\))?)\s*[\.\->]+\s*"
-    r"(addCounter|addHistogram)\s*\(\s*\"([^\"]+)\"")
-
-
-def check_stat_names(root, findings):
-    for path in iter_files(root, SOURCE_EXTS + HEADER_EXTS):
-        lines = read_lines(path)
-        allowed = suppressed_lines(lines, "stat-names")
-        seen = {}
-        stripped = strip_comments_and_strings(lines, keep_strings=True)
-        for i, line in enumerate(stripped, start=1):
-            for m in STAT_RE.finditer(line):
-                key = (m.group(1), m.group(2), m.group(3))
-                if key in seen and i not in allowed:
-                    findings.append(Finding(
-                        "stat-names", relpath(root, path), i,
-                        "duplicate stat \"%s\" on receiver %s "
-                        "(first at line %d)"
-                        % (m.group(3), m.group(1), seen[key]),
-                        m.start() + 1))
-                seen.setdefault(key, i)
 
 
 NEW_RE = re.compile(r"(?<![\w.])new\s+[A-Za-z_(]")
@@ -432,43 +396,6 @@ def check_simd_isolation(root, findings):
                     "vector intrinsics header outside %s; use the "
                     "dispatched common/simd.hh API" % SIMD_HOME,
                     m.start() + 1))
-
-
-COUNTER_DEF_RE = re.compile(r"\baddCounter\s*\(\s*\"([^\"]+)\"")
-PROBE_RE = re.compile(r"\baddCounterProbe\s*\(\s*\"([^\"]+)\"")
-
-
-def check_metrics_names(root, findings):
-    """Probe patterns are validated against the union of every
-    addCounter() literal in the tree (a leaf ending in '*' must
-    prefix-match at least one); a probe whose leaf matches nothing
-    would sum an empty set and report zero forever."""
-    files = list(iter_files(root, SOURCE_EXTS + HEADER_EXTS))
-    registered = set()
-    for path in files:
-        stripped = strip_comments_and_strings(read_lines(path),
-                                              keep_strings=True)
-        for line in stripped:
-            for m in COUNTER_DEF_RE.finditer(line):
-                registered.add(m.group(1))
-    for path in files:
-        lines = read_lines(path)
-        allowed = suppressed_lines(lines, "metrics-names")
-        stripped = strip_comments_and_strings(lines, keep_strings=True)
-        for i, line in enumerate(stripped, start=1):
-            for m in PROBE_RE.finditer(line):
-                leaf = m.group(1).rsplit(".", 1)[-1]
-                if leaf.endswith("*"):
-                    ok = any(n.startswith(leaf[:-1])
-                             for n in registered)
-                else:
-                    ok = leaf in registered
-                if not ok and i not in allowed:
-                    findings.append(Finding(
-                        "metrics-names", relpath(root, path), i,
-                        "probe \"%s\": leaf \"%s\" is not a "
-                        "registered addCounter() name"
-                        % (m.group(1), leaf), m.start() + 1))
 
 
 MUTEX_HOME = "src/common/annotate.hh"
@@ -706,12 +633,10 @@ ALL_RULES = [
     check_cmake_registration,
     check_header_guard,
     check_using_namespace,
-    check_stat_names,
     check_raw_new,
     check_rng,
     check_catch_swallow,
     check_simd_isolation,
-    check_metrics_names,
     check_raw_mutex,
     check_wall_clock,
     check_raw_rand,
@@ -742,9 +667,9 @@ def self_test():
     clean file; every rule must fire exactly where expected."""
     with tempfile.TemporaryDirectory() as root:
         write(os.path.join(root, "src", "CMakeLists.txt"),
-              "add_library(x STATIC clean.cc dup_stats.cc raw_new.cc\n"
+              "add_library(x STATIC clean.cc raw_new.cc\n"
               "    bad_rng.cc annotated.cc catch_swallow.cc\n"
-              "    stray_intrin.cc metrics_probe.cc common/simd.cc\n"
+              "    stray_intrin.cc common/simd.cc\n"
               "    raw_mutex.cc wall_clock.cc raw_rand.cc\n"
               "    unordered_iter.cc cachecomp/scheme_good.cc\n"
               "    cachecomp/scheme_bad.cc unregistered_elsewhere.cc\n"
@@ -765,12 +690,6 @@ def self_test():
         write(os.path.join(root, "src", "no_guard.hh"), "int y;\n")
         write(os.path.join(root, "src", "leaky.hh"),
               "#pragma once\nusing namespace std;\n")
-        write(os.path.join(root, "src", "dup_stats.cc"),
-              'void f(G &g) {\n'
-              '    g.addCounter("hits");\n'
-              '    g.addCounter("hits");\n'
-              '    g.addHistogram("hits");\n'   # other kind: no dup
-              '}\n')
         write(os.path.join(root, "src", "raw_new.cc"),
               "int *p = new int(3);\n"
               "void g(int *q) { delete q; }\n")
@@ -814,15 +733,6 @@ def self_test():
               "#include <emmintrin.h>\n")
         write(os.path.join(root, "src", "common", "simd.cc"),
               "#include <immintrin.h>\n")
-        write(os.path.join(root, "src", "metrics_probe.cc"),
-              "void probes(S &s) {\n"
-              '    s.addCounterProbe("mem.l1_*.hits");\n'     # ok
-              '    s.addCounterProbe("mem.bogus_counter");\n'  # flagged
-              '    s.addCounterProbe("core*.hit*");\n'         # prefix ok
-              "    // zcomp-lint: allow(metrics-names)\n"
-              '    s.addCounterProbe("suppressed_leaf");\n'
-              "}\n")
-
         write(os.path.join(root, "src", "raw_mutex.cc"),
               "std::mutex rawMu;\n"                       # flagged
               "void f() { zcomp::LockGuard lk(m); }\n"           # fine
@@ -907,7 +817,6 @@ def self_test():
             ("header-guard", "src/bad_guard.hh", 1),
             ("header-guard", "src/no_guard.hh", 1),
             ("using-namespace", "src/leaky.hh", 2),
-            ("stat-names", "src/dup_stats.cc", 3),
             ("raw-new", "src/raw_new.cc", 1),
             ("raw-new", "src/raw_new.cc", 2),
             ("rng", "src/bad_rng.cc", 2),
@@ -915,7 +824,6 @@ def self_test():
             ("catch-swallow", "src/catch_swallow.cc", 2),
             ("simd-isolation", "src/stray_intrin.cc", 2),
             ("simd-isolation", "src/stray_intrin.cc", 3),
-            ("metrics-names", "src/metrics_probe.cc", 3),
             ("raw-mutex", "src/raw_mutex.cc", 1),
             ("raw-mutex", "src/raw_mutex.cc", 3),
             ("wall-clock", "src/wall_clock.cc", 1),
