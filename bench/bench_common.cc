@@ -15,7 +15,6 @@
 
 #include <unistd.h>
 
-#include "cachecomp/scheme.hh"
 #include "common/annotate.hh"
 #include "common/error.hh"
 #include "common/fault.hh"
@@ -44,23 +43,17 @@ msSince(Clock::time_point t0)
 const std::vector<StudyPolicy> &
 studyPolicies()
 {
-    // Derived once from the scheme registry: the registered schemes
-    // that have a NetworkSim IoPolicy dispatch, in registration order
-    // (uncompressed, avx512-comp, zcomp - the historical sequence, so
-    // row indices, report keys and figure output are unchanged).
-    // Cache-model-only schemes (limitcc, twotagcc, ebpc, zvc) have no
-    // timing-model dispatch and are skipped here; they enter through
-    // bench_fig15_cache_comp instead.
+    // One row per IoPolicy, in enum order (uncompressed, avx512-comp,
+    // zcomp), so row indices, report keys and figure output never
+    // move. Each name is also a CompressionScheme name; schemes with
+    // no timing-model dispatch (limitcc, twotagcc, ebpc, zvc) enter
+    // through bench_fig15_cache_comp instead.
     static const std::vector<StudyPolicy> policies = [] {
         std::vector<StudyPolicy> v;
-        for (const CompressionScheme *s : allSchemes()) {
-            IoPolicy pol;
-            if (ioPolicyFromName(s->name(), pol))
-                v.push_back({s->name(), pol});
+        for (int p = 0; p < numIoPolicies; p++) {
+            IoPolicy pol = static_cast<IoPolicy>(p);
+            v.push_back({ioPolicyName(pol), pol});
         }
-        panic_if(v.size() != static_cast<size_t>(numIoPolicies),
-                 "scheme registry covers %zu of %d I/O policies",
-                 v.size(), numIoPolicies);
         return v;
     }();
     return policies;
@@ -206,7 +199,7 @@ runStudyCell(const StudyModel &m, bool training, const StudyOptions &opt,
     }
 
     // Snapshot the cell's full stats tree only when a report wants
-    // it. Each policy run resets the counters (coldCaches), so the
+    // it. Each policy run resets caches and counters, so the
     // tree reflects the final (Zcomp) run; the per-policy numbers
     // live in results[] either way. The flag is explicit (not
     // RunReport::global()) because an isolated worker has no report
@@ -397,8 +390,8 @@ studyRowFromJson(const Json &j)
         row.attempts = static_cast<int>(
             field(j, "attempts", &Json::isNumber).asInt());
 
-    // Policy names are validated here, at parse time, against the
-    // scheme registry: every study policy must be present, and no
+    // Policy names are validated here, at parse time, against
+    // studyPolicies(): every study policy must be present, and no
     // unknown policy entry may ride along (an unrecognized name would
     // otherwise deserialize into a row whose layout no caller
     // expects).
@@ -406,8 +399,8 @@ studyRowFromJson(const Json &j)
     const Json &pols = field(j, "policies", &Json::isObject);
     if (pols.size() != policies.size())
         throw std::runtime_error(
-            "study row JSON: policies do not match the scheme "
-            "registry");
+            "study row JSON: policies do not match the study "
+            "policies");
     row.results.resize(policies.size());
     row.simMillis.assign(policies.size(), 0.0);
     for (size_t pi = 0; pi < policies.size(); pi++) {
@@ -508,8 +501,8 @@ runCellsInWorkers(const std::vector<CellRef> &cells,
         // A supervisor-domain failure (signal name, hard timeout or
         // heartbeat loss) types the row unless the worker reported
         // one of its own.
-        StudyRow row = failedRow(modelName(c.m.id), c.training, r.error,
-                                 std::max(1, r.attempts));
+        StudyRow row =
+            failedRow(modelName(c.m.id), c.training, r.error, 1);
         if (r.ok) {
             try {
                 row = studyRowFromJson(r.row);
@@ -1008,7 +1001,9 @@ parseBenchArgs(int argc, char **argv, const std::string &title)
                 "                    (a crashing or hung cell costs "
                 "exactly itself;\n"
                 "                    see DESIGN.md section 4.11)\n"
-                "  --workers N       concurrent worker processes "
+                "  --workers N       concurrent worker processes, "
+                "one per cell;\n"
+                "                    a cell never runs twice "
                 "(default 2; needs\n"
                 "                    --isolate-cells)\n"
                 "  --hard-timeout S  SIGKILL a cell still running "

@@ -95,8 +95,8 @@ enum class CellStatus
 };
 
 /**
- * One I/O policy the study sweeps: a registered CompressionScheme
- * name paired with its NetworkSim dispatch value.
+ * One I/O policy the study sweeps: its CompressionScheme name paired
+ * with its NetworkSim dispatch value.
  */
 struct StudyPolicy
 {
@@ -105,11 +105,10 @@ struct StudyPolicy
 };
 
 /**
- * The policies every study cell runs, derived once from the scheme
- * registry (the registered schemes that have a NetworkSim IoPolicy
- * behind them) in registration order - which matches the historical
- * uncompressed / avx512-comp / zcomp sequence, keeping row layout,
- * report keys and figure output identical.
+ * The policies every study cell runs: one per IoPolicy, in enum
+ * order (uncompressed / avx512-comp / zcomp), which is also their
+ * order in allSchemes(). Row layout, report keys and figure output
+ * follow this order.
  */
 const std::vector<StudyPolicy> &studyPolicies();
 

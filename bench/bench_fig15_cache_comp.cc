@@ -1,11 +1,11 @@
 /**
  * @file
  * Figure 15 reproduction, enlarged: effective compression ratio of
- * every registered CompressionScheme on feature-map snapshots from
+ * every CompressionScheme in allSchemes() on feature-map snapshots from
  * the five DNN workloads. The paper's field (ZCOMP vs the FPC-D
  * cache-compression baselines LimitCC and TwoTagCC) is extended with
- * EBPC (bit-plane coding) and cDMA-style ZVC; the registry drives the
- * tables, so a new scheme shows up here by registering itself.
+ * EBPC (bit-plane coding) and cDMA-style ZVC; allSchemes() drives the
+ * tables, so a scheme added to that list shows up here.
  *
  * Paper geomeans: ZCOMP 1.8, LimitCC 1.54, TwoTagCC 1.1.
  *
@@ -28,7 +28,7 @@
  *              schemes that have no timing-model dispatch.
  *
  * --smoke swaps the workload snapshots for small synthetic
- * activation buffers and asserts every registered scheme appears
+ * activation buffers and asserts every listed scheme appears
  * exactly once in the summary (the tier-1 ctest hook).
  */
 
@@ -123,7 +123,7 @@ main(int argc, char **argv)
     const std::vector<const CompressionScheme *> &schemes =
         allSchemes();
 
-    // Per-network table: one ratio column per registered scheme.
+    // Per-network table: one ratio column per scheme.
     Table table(smoke
                     ? "compression ratios (synthetic smoke snapshots)"
                     : "compression ratios (5 snapshots per network)");
@@ -153,8 +153,8 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    // The per-scheme ratio/traffic/speedup summary the registry
-    // contract promises: exactly one row per registered scheme.
+    // The per-scheme ratio/traffic/speedup summary: exactly one row
+    // per scheme in allSchemes().
     Table summary("per-scheme summary (geomean ratio, relative "
                   "traffic, modeled speedup)");
     summary.setHeader({"scheme", "ratio", "traffic", "speedup"});
@@ -175,7 +175,7 @@ main(int argc, char **argv)
             if (!std::strcmp(schemes[si]->name(), name))
                 return geomean(all[si]);
         }
-        fatal("scheme '%s' not registered", name);
+        fatal("scheme '%s' not in allSchemes()", name);
     };
     Table paper("Figure 15 vs paper (geometric means)");
     paper.setHeader({"scheme", "paper", "measured"});
@@ -187,7 +187,7 @@ main(int argc, char **argv)
     paper.print(std::cout);
 
     if (smoke) {
-        // Tier-1 assertion: every registered scheme landed in the
+        // Tier-1 assertion: every listed scheme landed in the
         // emitted summary exactly once, and the new comparators are
         // among them.
         int failures = 0;

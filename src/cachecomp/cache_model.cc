@@ -144,17 +144,18 @@ class TwoTagCCScheme : public CompressionScheme
 
 } // namespace
 
-void
-registerCacheModelSchemes()
+const CompressionScheme &
+limitccScheme()
 {
     static const LimitCCScheme limitcc;
+    return limitcc;
+}
+
+const CompressionScheme &
+twotagccScheme()
+{
     static const TwoTagCCScheme twotagcc;
-    static const bool once = [] {
-        registerScheme(limitcc);
-        registerScheme(twotagcc);
-        return true;
-    }();
-    (void)once;
+    return twotagcc;
 }
 
 } // namespace zcomp

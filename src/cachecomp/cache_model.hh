@@ -56,9 +56,11 @@ double limitCCRatio(const uint8_t *data, size_t bytes);
 /** TwoTagCC ratio: greedy in-set pairing of FPC-D lines. */
 double twoTagCCRatio(const uint8_t *data, size_t bytes, int sets = 64);
 
-/** One-time registration hook for the Figure 15 cache-compression
- *  CompressionSchemes defined here ("limitcc", "twotagcc"). */
-void registerCacheModelSchemes();
+class CompressionScheme;
+
+/** The Figure 15 cache-compression schemes defined here. */
+const CompressionScheme &limitccScheme();
+const CompressionScheme &twotagccScheme();
 
 /** Geometric mean helper for aggregating per-snapshot ratios. */
 double geomean(const std::vector<double> &values);

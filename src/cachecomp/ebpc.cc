@@ -72,15 +72,11 @@ class EbpcScheme : public CompressionScheme
 
 } // namespace
 
-void
-registerEbpcScheme()
+const CompressionScheme &
+ebpcScheme()
 {
     static const EbpcScheme ebpc;
-    static const bool once = [] {
-        registerScheme(ebpc);
-        return true;
-    }();
-    (void)once;
+    return ebpc;
 }
 
 } // namespace zcomp

@@ -35,8 +35,10 @@ namespace zcomp {
 /** EBPC compressed size of one 64-byte line, in bytes (<= 64). */
 int ebpcLineBytes(const uint8_t *line);
 
-/** One-time registration hook for the "ebpc" CompressionScheme. */
-void registerEbpcScheme();
+class CompressionScheme;
+
+/** The "ebpc" CompressionScheme. */
+const CompressionScheme &ebpcScheme();
 
 } // namespace zcomp
 

@@ -7,47 +7,11 @@
 #include "cachecomp/ebpc.hh"
 #include "cachecomp/zvc.hh"
 #include "common/error.hh"
-#include "common/log.hh"
 #include "isa/dtype.hh"
 
 namespace zcomp {
 
 namespace {
-
-/**
- * The registry vector. Mutated only inside ensureRegistered()'s
- * one-time initialisation (thread-safe by the C++11 static-init
- * guarantee), read-only afterwards, so lookups need no lock. A plain
- * vector - not a map - so iteration order is registration order, per
- * the determinism contract.
- */
-std::vector<const CompressionScheme *> &
-mutableRegistry()
-{
-    static std::vector<const CompressionScheme *> registry;
-    return registry;
-}
-
-/**
- * Drive every scheme-defining translation unit's registration hook in
- * a fixed sequence. Called from every registry accessor, so the full
- * scheme set exists before any lookup - lazy hooks (rather than
- * static initialisers in each .cc) sidestep both the static-init
- * order fiasco and the linker dead-stripping registration objects out
- * of the static library.
- */
-void
-ensureRegistered()
-{
-    static const bool once = [] {
-        registerBuiltinSchemes();   // uncompressed, avx512-comp, zcomp
-        registerCacheModelSchemes();    // limitcc, twotagcc
-        registerEbpcScheme();
-        registerZvcScheme();
-        return true;
-    }();
-    (void)once;
-}
 
 class UncompressedScheme : public CompressionScheme
 {
@@ -105,48 +69,26 @@ zcompLineBytes(const uint8_t *line)
                     headerBytes(ElemType::F32) + nnz * 4);
 }
 
-void
-registerBuiltinSchemes()
+const std::vector<const CompressionScheme *> &
+allSchemes()
 {
     static const UncompressedScheme uncompressed;
     static const Avx512CompScheme avx512;
     static const ZcompScheme zcomp;
-    static const bool once = [] {
-        registerScheme(uncompressed);
-        registerScheme(avx512);
-        registerScheme(zcomp);
-        return true;
-    }();
-    (void)once;
-}
-
-void
-registerScheme(const CompressionScheme &s)
-{
-    std::vector<const CompressionScheme *> &reg = mutableRegistry();
-    for (const CompressionScheme *existing : reg) {
-        panic_if(std::strcmp(existing->name(), s.name()) == 0,
-                 "compression scheme '%s' registered twice", s.name());
-    }
-    reg.push_back(&s);
+    static const std::vector<const CompressionScheme *> schemes = {
+        &uncompressed, &avx512, &zcomp, &limitccScheme(),
+        &twotagccScheme(), &ebpcScheme(), &zvcScheme()};
+    return schemes;
 }
 
 const CompressionScheme *
 schemeByName(const std::string &name)
 {
-    ensureRegistered();
-    for (const CompressionScheme *s : mutableRegistry()) {
+    for (const CompressionScheme *s : allSchemes()) {
         if (name == s->name())
             return s;
     }
     return nullptr;
-}
-
-const std::vector<const CompressionScheme *> &
-allSchemes()
-{
-    ensureRegistered();
-    return mutableRegistry();
 }
 
 void

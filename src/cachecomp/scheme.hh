@@ -10,19 +10,12 @@
  * and stream pack/unpack cost hooks consumed by the Figure 15
  * bandwidth-bound speedup model.
  *
- * Registration contract (see DESIGN.md Section 4.10):
- *  - every scheme is a static-storage singleton registered exactly
- *    once via registerScheme(); the registry panics on duplicate
- *    names, so two schemes can never collide on report keys;
- *  - allSchemes() returns schemes in registration order, which is
- *    fixed by the one-time initialisation sequence in scheme.cc -
- *    never by hash-map iteration - so every consumer (tables, report
- *    rows, cache keys) sees the same deterministic order on every
- *    run and worker count;
- *  - each scheme-defining translation unit exposes a
- *    register<X>Schemes() hook that scheme.cc drives; the zcomp_lint
- *    scheme-registration rule enforces that any cachecomp source
- *    defining a CompressionScheme subclass calls registerScheme().
+ * The scheme list (see DESIGN.md Section 4.10): allSchemes() is one
+ * fixed list of static singletons - uncompressed, avx512-comp, zcomp,
+ * limitcc, twotagcc, ebpc, zvc - so every consumer (tables, report
+ * rows, cache keys) sees the same order on every run and worker
+ * count. Schemes defined outside scheme.cc expose one accessor each
+ * (limitccScheme(), ebpcScheme(), ...).
  */
 
 #ifndef ZCOMP_CACHECOMP_SCHEME_HH
@@ -79,18 +72,10 @@ class CompressionScheme
                                  size_t bytes) const;
 };
 
-/**
- * Add a scheme to the registry. The scheme must outlive the process
- * (schemes are static singletons); panics on a duplicate name.
- * Intended to be called from the one-time registration hooks driven
- * by scheme.cc, which keeps the order deterministic.
- */
-void registerScheme(const CompressionScheme &s);
-
 /** Look a scheme up by name(); nullptr when unknown. */
 const CompressionScheme *schemeByName(const std::string &name);
 
-/** Every registered scheme, in deterministic registration order. */
+/** Every scheme, in the fixed list order above. */
 const std::vector<const CompressionScheme *> &allSchemes();
 
 /**
@@ -106,10 +91,6 @@ void checkSnapshotAligned(size_t bytes);
  *  (the avx512-comp mask array has the same 2-byte-per-vector
  *  footprint, just stored out of line). */
 int zcompLineBytes(const uint8_t *line);
-
-/** One-time registration hook for the schemes defined in scheme.cc
- *  (uncompressed, avx512-comp, zcomp). */
-void registerBuiltinSchemes();
 
 } // namespace zcomp
 

@@ -39,15 +39,11 @@ class ZvcScheme : public CompressionScheme
 
 } // namespace
 
-void
-registerZvcScheme()
+const CompressionScheme &
+zvcScheme()
 {
     static const ZvcScheme zvc;
-    static const bool once = [] {
-        registerScheme(zvc);
-        return true;
-    }();
-    (void)once;
+    return zvc;
 }
 
 } // namespace zcomp

@@ -30,8 +30,10 @@ constexpr int zvcBeatBytes = 8;
 /** ZVC compressed size of one 64-byte line, in bytes (<= 64). */
 int zvcLineBytes(const uint8_t *line);
 
-/** One-time registration hook for the "zvc" CompressionScheme. */
-void registerZvcScheme();
+class CompressionScheme;
+
+/** The "zvc" CompressionScheme. */
+const CompressionScheme &zvcScheme();
 
 } // namespace zcomp
 

@@ -1,7 +1,6 @@
 #include "common/config.hh"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "common/log.hh"
 
@@ -31,123 +30,6 @@ ArchConfig::summary() const
         (unsigned long long)(l2.size / KiB), l2.assoc,
         (unsigned long long)(l3.size / MiB), l3.assoc, dram.channels,
         dram.totalBandwidthGBps);
-}
-
-namespace {
-
-bool
-parseU64(const std::string &s, uint64_t &out)
-{
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 0);
-    return end && *end == '\0';
-}
-
-bool
-parseDouble(const std::string &s, double &out)
-{
-    char *end = nullptr;
-    out = std::strtod(s.c_str(), &end);
-    return end && *end == '\0';
-}
-
-} // namespace
-
-bool
-ArchConfig::applyOverride(const std::string &kv)
-{
-    auto eq = kv.find('=');
-    if (eq == std::string::npos)
-        return false;
-    std::string key = kv.substr(0, eq);
-    std::string val = kv.substr(eq + 1);
-
-    uint64_t u = 0;
-    double d = 0.0;
-
-    auto as_u64 = [&](uint64_t &field) {
-        if (!parseU64(val, u))
-            fatal("override %s: expected integer", kv.c_str());
-        field = u;
-        return true;
-    };
-    auto as_int = [&](int &field) {
-        if (!parseU64(val, u))
-            fatal("override %s: expected integer", kv.c_str());
-        field = static_cast<int>(u);
-        return true;
-    };
-    auto as_double = [&](double &field) {
-        if (!parseDouble(val, d))
-            fatal("override %s: expected number", kv.c_str());
-        field = d;
-        return true;
-    };
-    auto as_bool = [&](bool &field) {
-        if (!parseU64(val, u))
-            fatal("override %s: expected 0/1", kv.c_str());
-        field = u != 0;
-        return true;
-    };
-
-    if (key == "numCores")
-        return as_int(numCores);
-    if (key == "core.issueWidth")
-        return as_int(core.issueWidth);
-    if (key == "core.freqGHz")
-        return as_double(core.freqGHz);
-    if (key == "core.mshrs")
-        return as_int(core.mshrs);
-    if (key == "core.storeBuffer")
-        return as_int(core.storeBuffer);
-    if (key == "l1.size")
-        return as_u64(l1.size);
-    if (key == "l1.assoc")
-        return as_int(l1.assoc);
-    if (key == "l1.latency")
-        return as_int(l1.latency);
-    if (key == "l2.size")
-        return as_u64(l2.size);
-    if (key == "l2.assoc")
-        return as_int(l2.assoc);
-    if (key == "l2.latency")
-        return as_int(l2.latency);
-    if (key == "l3.size")
-        return as_u64(l3.size);
-    if (key == "l3.assoc")
-        return as_int(l3.assoc);
-    if (key == "l3.latency")
-        return as_int(l3.latency);
-    if (key == "prefetch.l1IpStride")
-        return as_bool(prefetch.l1IpStride);
-    if (key == "prefetch.l2Stream")
-        return as_bool(prefetch.l2Stream);
-    if (key == "prefetch.l2Degree")
-        return as_int(prefetch.l2Degree);
-    if (key == "prefetch.l2Distance")
-        return as_int(prefetch.l2Distance);
-    if (key == "dram.channels")
-        return as_int(dram.channels);
-    if (key == "dram.totalBandwidthGBps")
-        return as_double(dram.totalBandwidthGBps);
-    if (key == "dram.latencyNs")
-        return as_double(dram.latencyNs);
-    if (key == "noc.hopCycles")
-        return as_int(noc.hopCycles);
-    if (key == "zcomp.logicLatency")
-        return as_int(zcomp.logicLatency);
-    if (key == "zcomp.logicThroughput")
-        return as_int(zcomp.logicThroughput);
-    return false;
-}
-
-void
-ArchConfig::applyOverrides(const std::vector<std::string> &args)
-{
-    for (const auto &kv : args) {
-        if (!applyOverride(kv))
-            fatal("unknown configuration override '%s'", kv.c_str());
-    }
 }
 
 } // namespace zcomp

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/units.hh"
 
@@ -99,15 +98,6 @@ struct ArchConfig
 
     /** One-line summary for bench banners. */
     std::string summary() const;
-
-    /**
-     * Apply a "key=value" override (e.g. "numCores=8", "l3.size=8388608",
-     * "prefetch.l2Stream=0"). Returns false for unknown keys.
-     */
-    bool applyOverride(const std::string &kv);
-
-    /** Apply every "key=value" argument; fatal() on malformed input. */
-    void applyOverrides(const std::vector<std::string> &args);
 };
 
 } // namespace zcomp

@@ -1,7 +1,6 @@
 #include "common/sweep_supervisor.hh"
 
 #include <algorithm>
-#include <deque>
 #include <thread>
 
 #include "common/log.hh"
@@ -17,9 +16,6 @@ constexpr const char *workerSchema = "zcomp-worker-v1";
 /** Backoff after consecutive crashes is capped here (ms). */
 constexpr int maxBackoffMillis = 5000;
 
-/** At most one speculative duplicate per cell (original + steal). */
-constexpr int maxAttemptsPerCell = 2;
-
 double
 secondsSince(std::chrono::steady_clock::time_point t,
              std::chrono::steady_clock::time_point now)
@@ -29,20 +25,9 @@ secondsSince(std::chrono::steady_clock::time_point t,
 
 } // namespace
 
-struct SweepSupervisor::CellState {
-    const SweepCell *cell = nullptr;
-    bool done = false;
-    int attempts = 0;
-    int liveWorkers = 0;
-    std::string lastError;
-    std::string lastSignal;
-    SweepCellResult result;
-};
-
 struct SweepSupervisor::WorkerSlot {
     int id = 0;
     size_t cellIdx = 0;
-    bool stolen = false;
     std::unique_ptr<Subprocess> proc;
     std::unique_ptr<LineReader> out;
     std::unique_ptr<LineReader> err;
@@ -67,46 +52,37 @@ SweepSupervisor::SweepSupervisor(SweepSupervisorOptions opt)
         backoff_ = 1;
 }
 
-void
-SweepSupervisor::spawnWorker(std::vector<WorkerSlot> &live,
-                             std::vector<CellState> &state,
-                             size_t cell_idx, bool stolen)
+SweepSupervisor::WorkerSlot
+SweepSupervisor::spawnWorker(const SweepCell &cell, size_t cell_idx)
 {
-    CellState &cs = state[cell_idx];
     Subprocess::Options sopt;
     sopt.argv = opt_.workerArgv;
     sopt.argv.push_back("--worker-cell");
-    sopt.argv.push_back(cs.cell->spec);
+    sopt.argv.push_back(cell.spec);
 
     WorkerSlot w;
     w.id = nextWorkerId_++;
     w.cellIdx = cell_idx;
-    w.stolen = stolen;
     w.proc = std::make_unique<Subprocess>(sopt);
     w.out = std::make_unique<LineReader>(w.proc->stdoutFd());
     w.err = std::make_unique<LineReader>(w.proc->stderrFd());
     w.started = w.lastHeard = Clock::now();
-    cs.attempts++;
-    cs.liveWorkers++;
 
     if (MetricsSink *sink = MetricsSink::global()) {
         Json r = Json::object();
         r["schema"] = metricsSchemaVersion;
         r["kind"] = "worker";
-        r["event"] = stolen ? "steal" : "spawn";
+        r["event"] = "spawn";
         r["worker"] = static_cast<int64_t>(w.id);
         r["pid"] = static_cast<int64_t>(w.proc->pid());
-        r["cell"] = cs.cell->label;
-        r["attempt"] = static_cast<int64_t>(cs.attempts);
+        r["cell"] = cell.label;
         sink->append(std::move(r));
     }
-    live.push_back(std::move(w));
+    return w;
 }
 
 void
-SweepSupervisor::handleRecord(WorkerSlot &w,
-                              std::vector<CellState> &state,
-                              const std::string &line)
+SweepSupervisor::handleRecord(WorkerSlot &w, const std::string &line)
 {
     if (line.empty())
         return;
@@ -138,13 +114,10 @@ SweepSupervisor::handleRecord(WorkerSlot &w,
     }
     // hello / heartbeat / result all count as signs of life; the
     // lastHeard update in the drain loop already covered this line.
-    (void)state;
 }
 
-void
-SweepSupervisor::finishWorker(WorkerSlot &w,
-                              std::vector<WorkerSlot> &live,
-                              std::vector<CellState> &state)
+SweepCellResult
+SweepSupervisor::finishWorker(WorkerSlot &w, const SweepCell &cell)
 {
     // Drain both pipes first: the worker may have written its result
     // record microseconds before exiting, and declaring "exited
@@ -157,15 +130,13 @@ SweepSupervisor::finishWorker(WorkerSlot &w,
     std::vector<std::string> lines;
     w.out->poll(lines);
     for (const std::string &l : lines)
-        handleRecord(w, state, l);
+        handleRecord(w, l);
     lines.clear();
     w.err->poll(lines);
     for (const std::string &l : lines)
         logRawLine(l);
 
     const ExitStatus &st = w.proc->status();
-    CellState &cs = state[w.cellIdx];
-    cs.liveWorkers--;
     w.finished = true;
 
     if (MetricsSink *sink = MetricsSink::global()) {
@@ -175,54 +146,35 @@ SweepSupervisor::finishWorker(WorkerSlot &w,
         r["event"] = "exit";
         r["worker"] = static_cast<int64_t>(w.id);
         r["pid"] = static_cast<int64_t>(w.proc->pid());
-        r["cell"] = cs.cell->label;
+        r["cell"] = cell.label;
         r["status"] = st.describe();
         sink->append(std::move(r));
     }
 
-    bool success = w.gotResult && st.ok();
-    if (cs.done) {
-        // A duplicate lost the race (or was terminated after the
-        // winner reported); nothing more to record.
-        return;
-    }
-
-    if (success) {
-        cs.done = true;
-        cs.result.spec = cs.cell->spec;
-        cs.result.label = cs.cell->label;
-        cs.result.ok = true;
-        cs.result.row = std::move(w.row);
-        cs.result.attempts = cs.attempts;
+    SweepCellResult result;
+    result.spec = cell.spec;
+    result.label = cell.label;
+    if (w.gotResult && st.ok()) {
+        result.ok = true;
+        result.row = std::move(w.row);
         backoff_ = opt_.backoffMillis;
-        // Terminate any speculative duplicate still running.
-        for (WorkerSlot &other : live) {
-            if (&other != &w && !other.finished &&
-                other.cellIdx == w.cellIdx)
-                other.proc->kill();
-        }
-        if (opt_.onCellDone)
-            opt_.onCellDone(w.cellIdx, cs.result);
-        return;
+        return result;
     }
 
     // Supervisor-domain failure: signal, enforced deadline, or an
     // exit with no result record.
-    std::string error;
-    std::string signal_name;
     const char *crash_reason = nullptr;
     if (w.killReason) {
-        error = w.killError;
-        signal_name = "SIGKILL";
+        result.error = w.killError;
+        result.signalName = "SIGKILL";
         crash_reason = w.killReason;
     } else if (st.signaled()) {
-        error = format("killed by %s",
-                       ExitStatus::signalName(st.sig).c_str());
-        signal_name = ExitStatus::signalName(st.sig);
+        result.signalName = ExitStatus::signalName(st.sig);
+        result.error = "killed by " + result.signalName;
         crash_reason = "signal";
     } else {
-        error = format("worker exited without result (%s)",
-                       st.describe().c_str());
+        result.error = format("worker exited without result (%s)",
+                              st.describe().c_str());
     }
 
     if (crash_reason) {
@@ -231,97 +183,51 @@ SweepSupervisor::finishWorker(WorkerSlot &w,
             r["schema"] = metricsSchemaVersion;
             r["kind"] = "crash";
             r["worker"] = static_cast<int64_t>(w.id);
-            r["cell"] = cs.cell->label;
-            r["signal"] = signal_name;
+            r["cell"] = cell.label;
+            r["signal"] = result.signalName;
             r["reason"] = crash_reason;
             sink->append(std::move(r));
         }
     }
-    warn("worker %d: cell %s: %s", w.id, cs.cell->label.c_str(),
-         error.c_str());
+    warn("worker %d: cell %s: %s", w.id, cell.label.c_str(),
+         result.error.c_str());
 
     // Pace the next spawn: a binary that crashes instantly must
     // degrade to a trickle of typed failures, not a fork storm.
     nextSpawnAt_ = Clock::now() + std::chrono::milliseconds(backoff_);
     backoff_ = std::min(backoff_ * 2, maxBackoffMillis);
-
-    cs.lastError = error;
-    cs.lastSignal = signal_name;
-    if (cs.liveWorkers > 0)
-        return; // a speculative duplicate may still succeed
-    cs.done = true;
-    cs.result.spec = cs.cell->spec;
-    cs.result.label = cs.cell->label;
-    cs.result.ok = false;
-    cs.result.error = cs.lastError;
-    cs.result.signalName = cs.lastSignal;
-    cs.result.attempts = cs.attempts;
-    if (opt_.onCellDone)
-        opt_.onCellDone(w.cellIdx, cs.result);
+    return result;
 }
 
 std::vector<SweepCellResult>
 SweepSupervisor::run(const std::vector<SweepCell> &cells)
 {
-    std::vector<CellState> state(cells.size());
-    std::deque<size_t> pending;
-    for (size_t i = 0; i < cells.size(); i++) {
-        state[i].cell = &cells[i];
-        pending.push_back(i);
-    }
-
+    std::vector<SweepCellResult> results(cells.size());
     std::vector<WorkerSlot> live;
+    size_t next = 0;        // cells [0, next) have been spawned
     size_t completed = 0;
 
     while (completed < cells.size()) {
         Clock::time_point now = Clock::now();
 
         // ------------------------------------------------ spawn
-        while (static_cast<int>(live.size()) < opt_.workers &&
+        while (next < cells.size() &&
+               static_cast<int>(live.size()) < opt_.workers &&
                now >= nextSpawnAt_) {
-            if (!pending.empty()) {
-                size_t idx = pending.front();
-                pending.pop_front();
-                spawnWorker(live, state, idx, /*stolen=*/false);
-                continue;
-            }
-            if (!opt_.workStealing)
-                break;
-            // Work-steal: duplicate the longest-running straggler
-            // that has no duplicate yet and has run long enough to
-            // look like a straggler rather than a fresh cell.
-            ssize_t best = -1;
-            double best_age = opt_.stealAfterMillis / 1000.0;
-            for (size_t i = 0; i < live.size(); i++) {
-                const WorkerSlot &w = live[i];
-                const CellState &cs = state[w.cellIdx];
-                if (w.finished || cs.done || cs.liveWorkers != 1 ||
-                    cs.attempts >= maxAttemptsPerCell)
-                    continue;
-                double age = secondsSince(w.started, now);
-                if (age >= best_age) {
-                    best_age = age;
-                    best = static_cast<ssize_t>(i);
-                }
-            }
-            if (best < 0)
-                break;
-            spawnWorker(live, state, live[best].cellIdx,
-                        /*stolen=*/true);
+            live.push_back(spawnWorker(cells[next], next));
+            next++;
         }
 
         // ------------------------------------------------ poll
         bool activity = false;
         for (WorkerSlot &w : live) {
-            if (w.finished)
-                continue;
             std::vector<std::string> lines;
             w.out->poll(lines);
             if (!lines.empty()) {
                 activity = true;
                 w.lastHeard = now;
                 for (const std::string &l : lines)
-                    handleRecord(w, state, l);
+                    handleRecord(w, l);
             }
             lines.clear();
             w.err->poll(lines);
@@ -353,28 +259,23 @@ SweepSupervisor::run(const std::vector<SweepCell> &cells)
                 w.proc->kill(); // blocking SIGKILL + reap
             }
             activity = true;
-            finishWorker(w, live, state);
+            SweepCellResult &r = results[w.cellIdx];
+            r = finishWorker(w, cells[w.cellIdx]);
+            completed++;
+            if (opt_.onCellDone)
+                opt_.onCellDone(w.cellIdx, r);
         }
 
-        // Compact finished slots and tally completed cells.
+        // Free the slots of finished workers.
         live.erase(std::remove_if(live.begin(), live.end(),
                                   [](const WorkerSlot &w) {
                                       return w.finished;
                                   }),
                    live.end());
-        completed = 0;
-        for (const CellState &cs : state)
-            if (cs.done)
-                completed++;
 
         if (!activity && completed < cells.size())
             std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-
-    std::vector<SweepCellResult> results;
-    results.reserve(cells.size());
-    for (CellState &cs : state)
-        results.push_back(std::move(cs.result));
     return results;
 }
 

@@ -29,11 +29,10 @@
  *    by a doubling backoff (reset on any clean exit), so a broken
  *    binary degrades to a paced trickle of typed failures instead of
  *    a fork storm.
- *  - Work stealing: once the pending queue drains, idle slots run
- *    speculative duplicates of the longest-running straggler cells;
- *    the first copy to finish wins and the loser is terminated.
- *    Duplicates are safe because cell results are deterministic and
- *    cache stores of identical bytes are idempotent.
+ *  - One worker per cell: a cell never runs twice. Rows are
+ *    deterministic, so a second copy of a slow cell would compute
+ *    the same row, start later and hold a second copy of the cell's
+ *    memory, so once the queue drains, idle slots stay idle.
  *
  * Failure domains: a cell that fails with a typed in-process error
  * (SimError and friends) is *not* a supervisor failure - the worker
@@ -85,8 +84,6 @@ struct SweepCellResult {
     /** Signal that terminated the worker ("SIGKILL", "SIGSEGV", ...)
      *  or empty for a plain bad exit. */
     std::string signalName;
-    /** Worker processes launched for this cell (steals included). */
-    int attempts = 0;
 };
 
 struct SweepSupervisorOptions {
@@ -104,10 +101,6 @@ struct SweepSupervisorOptions {
     /** Initial respawn delay after a crash; doubles per consecutive
      *  crash (capped), resets on a clean exit. */
     int backoffMillis = 50;
-    /** Speculatively duplicate straggler cells onto idle slots. */
-    bool workStealing = true;
-    /** A cell must run at least this long before it is stolen. */
-    int stealAfterMillis = 500;
     /** Invoked once per finished cell (with its input index), in
      *  completion order. */
     std::function<void(size_t, const SweepCellResult &)> onCellDone;
@@ -129,16 +122,11 @@ class SweepSupervisor
   private:
     using Clock = std::chrono::steady_clock;
 
-    struct CellState;
     struct WorkerSlot;
 
-    void spawnWorker(std::vector<WorkerSlot> &live,
-                     std::vector<CellState> &state, size_t cell_idx,
-                     bool stolen);
-    void handleRecord(WorkerSlot &w, std::vector<CellState> &state,
-                      const std::string &line);
-    void finishWorker(WorkerSlot &w, std::vector<WorkerSlot> &live,
-                      std::vector<CellState> &state);
+    WorkerSlot spawnWorker(const SweepCell &cell, size_t cell_idx);
+    void handleRecord(WorkerSlot &w, const std::string &line);
+    SweepCellResult finishWorker(WorkerSlot &w, const SweepCell &cell);
 
     SweepSupervisorOptions opt_;
     int backoff_;

@@ -31,23 +31,12 @@ ioPolicyName(IoPolicy p)
     panic("invalid IoPolicy %d", static_cast<int>(p));
 }
 
-bool
-ioPolicyFromName(const std::string &name, IoPolicy &out)
-{
-    for (int p = 0; p < numIoPolicies; p++) {
-        IoPolicy pol = static_cast<IoPolicy>(p);
-        if (name == ioPolicyName(pol)) {
-            out = pol;
-            return true;
-        }
-    }
-    return false;
-}
-
 namespace {
 
 constexpr uint64_t hdrB = headerBytes(ElemType::F32);  //!< mask bytes
 constexpr size_t scratchBytes = 128 * KiB;  //!< per-core pack buffer
+constexpr int subBlocks = 8;                //!< unroll streams per thread
+constexpr uint64_t gemmBlockRows = 2048;    //!< Mc: rows per panel re-read
 
 /** One tensor's role in a streaming pass. */
 struct StreamSpec
@@ -113,7 +102,7 @@ class PassBuilder
                          "compressed stream without nonzero counts");
         }
         int subs = std::max(
-            1, std::min(cfg_.subBlocks,
+            1, std::min(subBlocks,
                         CoreModel::maxStreams /
                             std::max<int>(1, specs.size())));
         // Static compression ratio of this pass's streams, for the
@@ -176,7 +165,7 @@ class PassBuilder
             uint64_t done = 0;
             while (done < m_rows) {
                 uint64_t panel_rows = std::min<uint64_t>(
-                    m_rows - done, cfg_.gemmBlockRows);
+                    m_rows - done, gemmBlockRows);
                 // 2 uops per 16-lane FMA, panel_rows FMAs per line.
                 uint16_t uops = static_cast<uint16_t>(
                     std::min<uint64_t>(2 * panel_rows, 60000));
@@ -443,8 +432,9 @@ NetworkSim::run(const NetworkSimConfig &cfg)
     // the site the study runner's retry loop is tested against.
     FaultInjector::global().maybeInject(faultsite::KernelTransient);
 
-    if (cfg.coldCaches)
-        ctx_.sys().resetAll();
+    // Every run starts from cold caches and zeroed counters, so the
+    // policy runs sharing this NetworkSim are independent.
+    ctx_.sys().resetAll();
 
     // Each (network, policy) run gets its own simulated track group
     // so the per-core lanes of back-to-back policy runs (which all

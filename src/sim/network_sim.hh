@@ -58,16 +58,9 @@ constexpr int numIoPolicies = 3;
  *  keys under a shared "?" label. */
 const char *ioPolicyName(IoPolicy p);
 
-/** Reverse of ioPolicyName(); false (out untouched) on an unknown
- *  name, so callers can report bad input in their own terms. */
-bool ioPolicyFromName(const std::string &name, IoPolicy &out);
-
 struct NetworkSimConfig
 {
     IoPolicy policy = IoPolicy::Uncompressed;
-    int subBlocks = 8;          //!< unroll streams per thread
-    size_t gemmBlockRows = 2048; //!< Mc: rows per weight-panel re-read
-    bool coldCaches = true;     //!< resetAll() before the run
 
     /**
      * Label for this run's Perfetto track group ("<model> (train)");
@@ -110,8 +103,6 @@ class NetworkSim
     NetworkSimResult run(const NetworkSimConfig &cfg);
 
   private:
-    struct Impl;
-
     /**
      * One full scan of a tensor's values: per-16-lane-vector nonzero
      * counts plus the derived sparsity. Tensor values are frozen once

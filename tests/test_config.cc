@@ -1,4 +1,4 @@
-/** @file Unit tests for ArchConfig (Table 1 defaults and overrides). */
+/** @file Unit tests for ArchConfig: Table 1 defaults, derived values. */
 
 #include <gtest/gtest.h>
 
@@ -35,28 +35,6 @@ TEST(Config, DerivedQuantities)
     EXPECT_EQ(cfg.dramLatencyCycles(), 144);
 }
 
-TEST(Config, ApplyOverride)
-{
-    ArchConfig cfg;
-    EXPECT_TRUE(cfg.applyOverride("numCores=8"));
-    EXPECT_EQ(cfg.numCores, 8);
-    EXPECT_TRUE(cfg.applyOverride("l3.size=8388608"));
-    EXPECT_EQ(cfg.l3.size, 8 * MiB);
-    EXPECT_TRUE(cfg.applyOverride("prefetch.l2Stream=0"));
-    EXPECT_FALSE(cfg.prefetch.l2Stream);
-    EXPECT_TRUE(cfg.applyOverride("zcomp.logicLatency=3"));
-    EXPECT_EQ(cfg.zcomp.logicLatency, 3);
-    EXPECT_TRUE(cfg.applyOverride("dram.totalBandwidthGBps=34.0"));
-    EXPECT_DOUBLE_EQ(cfg.dram.totalBandwidthGBps, 34.0);
-}
-
-TEST(Config, UnknownOverrideRejected)
-{
-    ArchConfig cfg;
-    EXPECT_FALSE(cfg.applyOverride("nonsense=1"));
-    EXPECT_FALSE(cfg.applyOverride("missingequals"));
-}
-
 TEST(Config, SummaryMentionsKeyNumbers)
 {
     ArchConfig cfg;
@@ -64,21 +42,4 @@ TEST(Config, SummaryMentionsKeyNumbers)
     EXPECT_NE(s.find("16 cores"), std::string::npos);
     EXPECT_NE(s.find("2.4 GHz"), std::string::npos);
     EXPECT_NE(s.find("24MB"), std::string::npos);
-}
-
-TEST(Config, ApplyOverridesVector)
-{
-    ArchConfig cfg;
-    cfg.applyOverrides({"numCores=4", "l2.size=524288"});
-    EXPECT_EQ(cfg.numCores, 4);
-    EXPECT_EQ(cfg.l2.size, 512 * KiB);
-}
-
-TEST(ConfigDeath, MalformedValueIsFatal)
-{
-    ArchConfig cfg;
-    EXPECT_DEATH(cfg.applyOverride("numCores=abc"),
-                 "expected integer");
-    EXPECT_DEATH(cfg.applyOverrides({"definitely.unknown=1"}),
-                 "unknown configuration override");
 }

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the CompressionScheme registry and the Figure 15
- * comparators: hand-computed EBPC/ZVC golden encodings, registry
- * determinism and miss behavior, the 64-byte per-line clamp on
+ * Unit tests for the CompressionScheme list and the Figure 15
+ * comparators: hand-computed EBPC/ZVC golden encodings, list order
+ * and lookup misses, the 64-byte per-line clamp on
  * incompressible data, and the typed DecodeError on misaligned
  * snapshots.
  */
@@ -143,7 +143,7 @@ TEST(Zvc, PadsToBurstBeat)
     EXPECT_EQ(zvcLineBytes(lineOf(w).data()), 8);
 }
 
-// --- Registry contract ---------------------------------------------
+// --- Scheme list ---------------------------------------------------
 
 TEST(SchemeRegistry, OrderIsStableAndComplete)
 {
@@ -234,21 +234,7 @@ TEST(SchemeDecode, MisalignedSnapshotThrowsDecodeError)
     resetDecodeErrorCount();
 }
 
-// --- IoPolicy name dispatch (ISSUE 9 satellite) --------------------
-
-TEST(IoPolicyName, RoundTripsThroughFromName)
-{
-    for (int p = 0; p < numIoPolicies; p++) {
-        IoPolicy pol = static_cast<IoPolicy>(p);
-        IoPolicy back = IoPolicy::Uncompressed;
-        ASSERT_TRUE(ioPolicyFromName(ioPolicyName(pol), back));
-        EXPECT_EQ(back, pol);
-    }
-    IoPolicy out = IoPolicy::Zcomp;
-    EXPECT_FALSE(ioPolicyFromName("?", out));
-    EXPECT_FALSE(ioPolicyFromName("no-such-policy", out));
-    EXPECT_EQ(out, IoPolicy::Zcomp);    // untouched on miss
-}
+// --- IoPolicy names ------------------------------------------------
 
 using IoPolicyNameDeathTest = ::testing::Test;
 

@@ -6,7 +6,8 @@
  *  crash matrix with byte-identical --resume healing, hard-timeout
  *  reaping of a spinning cell, and tear-free worker output under a
  *  sticky status line. Process-level supervisor mechanics (deadlines,
- *  stealing, backoff) are unit-tested in test_sweep_supervisor.cc. */
+ *  one worker per cell, backoff) are unit-tested in
+ *  test_sweep_supervisor.cc. */
 
 #include "bench/bench_common.hh"
 
@@ -158,8 +159,7 @@ TEST(StudyIsolation, IsolatedRowsMatchInProcessRowsExactly)
 /**
  * Both executors count a cell as retried in the sweep progress from
  * the row's own attempts: the final progress record's "retried" is
- * the number of rows with attempts > 1. (Worker processes launched
- * for a cell - a work-stolen straggler - are not retries.)
+ * the number of rows with attempts > 1.
  */
 TEST(StudyIsolation, ProgressRetriedMatchesRetriedRows)
 {

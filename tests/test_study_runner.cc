@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
 #include "cachecomp/cache_model.hh"
+#include "cachecomp/scheme.hh"
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/log.hh"
@@ -51,6 +53,30 @@ expectStatsEqual(const RunStats &a, const RunStats &b,
 }
 
 } // namespace
+
+/**
+ * Every study policy is a compression scheme: one row per IoPolicy in
+ * enum order, each name resolving through schemeByName(), and the
+ * policies in the same relative order as the scheme list.
+ */
+TEST(StudyRunner, StudyPoliciesAreSchemesInListOrder)
+{
+    const std::vector<StudyPolicy> &pols = studyPolicies();
+    ASSERT_EQ(pols.size(), static_cast<size_t>(numIoPolicies));
+    const std::vector<const CompressionScheme *> &schemes = allSchemes();
+    auto prev = schemes.begin();
+    for (size_t i = 0; i < pols.size(); i++) {
+        EXPECT_EQ(pols[i].policy, static_cast<IoPolicy>(i));
+        EXPECT_EQ(pols[i].name, ioPolicyName(pols[i].policy));
+        const CompressionScheme *s = schemeByName(pols[i].name);
+        ASSERT_NE(s, nullptr) << pols[i].name;
+        auto at = std::find(schemes.begin(), schemes.end(), s);
+        if (i > 0) {
+            EXPECT_GT(at, prev) << pols[i].name << " out of list order";
+        }
+        prev = at;
+    }
+}
 
 /**
  * The determinism guarantee behind the figure benches: a parallel

@@ -1,11 +1,13 @@
 /** @file Unit tests for the sweep supervisor's process-level
  *  behavior, using /bin/sh stand-ins for the bench worker: sharding,
- *  crash isolation, hard/heartbeat deadlines, work stealing, and the
- *  exited-without-result failure path. The end-to-end crash matrix
+ *  crash isolation, hard/heartbeat deadlines, one worker per cell, and
+ *  the exited-without-result failure path. The end-to-end crash matrix
  *  against the real study runner lives in test_study_isolation.cc. */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -26,7 +28,6 @@ fakeWorker(const std::string &script, int workers)
     SweepSupervisorOptions opt;
     opt.workerArgv = {"/bin/sh", "-c", script, "worker"};
     opt.workers = workers;
-    opt.workStealing = false;
     return opt;
 }
 
@@ -59,7 +60,6 @@ TEST(SweepSupervisor, RunsAllCellsInInputOrder)
     for (size_t i = 0; i < results.size(); i++) {
         EXPECT_EQ(results[i].spec, want[i]);
         EXPECT_TRUE(results[i].ok) << results[i].error;
-        EXPECT_EQ(results[i].attempts, 1);
         const Json *cell = results[i].row.find("cell");
         ASSERT_NE(cell, nullptr);
         EXPECT_EQ(cell->asString(), want[i]);
@@ -144,20 +144,27 @@ TEST(SweepSupervisor, ExitWithoutResultIsAFailure)
         << results[0].error;
 }
 
-TEST(SweepSupervisor, WorkStealingDuplicatesStraggler)
+TEST(SweepSupervisor, IdleSlotsNeverDuplicateACell)
 {
-    // One straggler cell, two slots: once the queue is empty the
-    // idle slot must speculatively duplicate the straggler, and the
-    // first copy to finish wins.
-    std::string script = std::string("sleep 1\n") + okScript;
-    SweepSupervisorOptions opt = fakeWorker(script, 2);
-    opt.workStealing = true;
-    opt.stealAfterMillis = 100;
-    SweepSupervisor sup(opt);
+    // One slow cell, two slots: the idle slot must stay idle rather
+    // than start a second copy of the running cell. Each launch
+    // appends a line to a counter file before the cell's work.
+    const std::string counter =
+        std::filesystem::absolute("sweep_supervisor_test_launches");
+    std::filesystem::remove(counter);
+    std::string script = "echo launch >> '" + counter + "'\n" +
+                         "sleep 1\n" + okScript;
+    SweepSupervisor sup(fakeWorker(script, 2));
     std::vector<SweepCellResult> results = sup.run(cellsNamed({"a"}));
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(results[0].ok) << results[0].error;
-    EXPECT_EQ(results[0].attempts, 2);
+
+    std::ifstream in(counter);
+    int launches = 0;
+    for (std::string line; std::getline(in, line);)
+        launches += line == "launch";
+    EXPECT_EQ(launches, 1);
+    std::filesystem::remove(counter);
 }
 
 TEST(SweepSupervisor, StderrIsForwardedWholeLine)

@@ -3,6 +3,7 @@
 
 Usage:
     check_golden.py --bench-dir DIR [--golden-dir DIR]
+    check_golden.py --bench-dir DIR [--golden-dir DIR] --regen [--force]
 
 Simulated output must not change unless a change means it to. Each
 entry runs a bench binary from DIR and compares its stdout, or a file
@@ -34,9 +35,14 @@ compared with trailing digits stripped from every line (the same
 in that form. The metrics golden keeps each record's text as the
 program wrote it, minus the host-clock "hostMs" member, so doubles keep
 their C++ spelling; the stats golden is `json.dumps(..., indent=1)`,
-which keeps key order. To regenerate a golden after an intended model
-change, run the same command and canon by hand and explain the change
-in CHANGES.md. Exit status 0 when every check matches, 1 otherwise.
+which keeps key order.
+
+After an intended model change, --regen rewrites every golden from the
+same runs and canon (all runs that feed one golden must agree); explain
+the change in CHANGES.md. It refuses to write into a golden
+directory with uncommitted git changes unless given --force, so the
+regenerated files are exactly what the diff shows. Exit status 0 when
+every check matches (or every golden was written), 1 otherwise.
 """
 
 import argparse
@@ -114,8 +120,8 @@ def runs(tmp):
     return out
 
 
-def check(bench_dir, golden_dir, run):
-    """One error message per golden the run does not match."""
+def produce(bench_dir, run):
+    """(error, None) if the run fails, else (None, [(golden, text)])."""
     label, argv, simd, outputs = run
     env = dict(os.environ)
     if simd:
@@ -123,14 +129,22 @@ def check(bench_dir, golden_dir, run):
     proc = subprocess.run([os.path.join(bench_dir, argv[0])] + argv[1:],
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        exit_msg = f"{label}: exit {proc.returncode}"
-        return ([f"{exit_msg}\n{proc.stderr[-2000:]}"] +
-                [f"{exit_msg}, {g} not checked" for g, _ in outputs[1:]])
+        return f"{label}: exit {proc.returncode}\n{proc.stderr[-2000:]}", None
+    return None, [(golden, extract(proc.stdout))
+                  for golden, extract in outputs]
+
+
+def check(golden_dir, run, err, texts):
+    """One error message per golden the run does not match."""
+    label = run[0]
+    if err:
+        exit_msg = err.splitlines()[0]
+        return [err] + [f"{exit_msg}, {g} not checked"
+                        for g, _ in run[3][1:]]
     errors = []
-    for golden, extract in outputs:
+    for golden, got in texts:
         with open(os.path.join(golden_dir, golden)) as f:
             want = f.read()
-        got = extract(proc.stdout)
         if got == want:
             continue
         diff = difflib.unified_diff(want.splitlines(), got.splitlines(),
@@ -140,21 +154,65 @@ def check(bench_dir, golden_dir, run):
     return errors
 
 
+def dirty(golden_dir):
+    """Uncommitted git changes under golden_dir (False outside git)."""
+    proc = subprocess.run(["git", "-C", golden_dir, "status", "--porcelain",
+                           "--", "."], capture_output=True, text=True)
+    return proc.returncode == 0 and proc.stdout.strip() != ""
+
+
+def regen(golden_dir, results):
+    """Write every golden; nothing is written if a run fails or two
+    runs that feed one golden disagree."""
+    texts, errors = {}, []
+    for run, (err, got) in results:
+        if err:
+            errors.append(err)
+            continue
+        for golden, text in got:
+            if texts.setdefault(golden, text) != text:
+                errors.append(f"{run[0]}: disagrees with another run "
+                              f"that feeds {golden}")
+    for e in errors:
+        print(e, file=sys.stderr)
+    if errors:
+        print("no golden written")
+        return 1
+    for golden, text in sorted(texts.items()):
+        with open(os.path.join(golden_dir, golden), "w") as f:
+            f.write(text)
+    print(f"wrote {len(texts)} goldens to {golden_dir}")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--bench-dir", required=True)
     ap.add_argument("--golden-dir",
                     default=os.path.join(os.path.dirname(__file__), "..",
                                          "tests", "golden"))
+    ap.add_argument("--regen", action="store_true",
+                    help="rewrite the goldens from this build's output")
+    ap.add_argument("--force", action="store_true",
+                    help="let --regen overwrite uncommitted golden changes")
     args = ap.parse_args()
+    if args.force and not args.regen:
+        ap.error("--force needs --regen")
+    if args.regen and not args.force and dirty(args.golden_dir):
+        print(f"{args.golden_dir} has uncommitted changes; commit or "
+              "revert them, or pass --force", file=sys.stderr)
+        return 1
     with tempfile.TemporaryDirectory() as tmp:
-        todo = runs(tmp)
+        todo = list(reversed(runs(tmp)))
         # The ablation runs are the longest; a few concurrent runs keep
         # the whole check near their wall time.
         with concurrent.futures.ThreadPoolExecutor(3) as pool:
-            errors = [e for errs in pool.map(
-                lambda r: check(args.bench_dir, args.golden_dir, r),
-                reversed(todo)) for e in errs]
+            results = list(zip(todo, pool.map(
+                lambda r: produce(args.bench_dir, r), todo)))
+    if args.regen:
+        return regen(args.golden_dir, results)
+    errors = [e for run, (err, texts) in results
+              for e in check(args.golden_dir, run, err, texts)]
     total = sum(len(r[3]) for r in todo)
     for e in errors:
         print(e, file=sys.stderr)

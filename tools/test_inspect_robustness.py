@@ -114,13 +114,16 @@ def main():
 
         good = metrics_file("good.jsonl", [
             rec("worker", event="spawn", worker=0, pid=100,
-                cell="resnet-32 (training)", attempt=1),
-            rec("worker", event="steal", worker=1, pid=101,
-                cell="resnet-32 (training)", attempt=2),
+                cell="resnet-32 (training)"),
+            rec("worker", event="spawn", worker=1, pid=101,
+                cell="resnet-32 (inference)"),
+            rec("worker", event="exit", worker=0, pid=100,
+                cell="resnet-32 (training)",
+                status="signal 11 (SIGSEGV)"),
             rec("crash", worker=0, cell="resnet-32 (training)",
                 signal="SIGSEGV", reason="signal"),
             rec("worker", event="exit", worker=1, pid=101,
-                cell="resnet-32 (training)", status="exit 0"),
+                cell="resnet-32 (inference)", status="exit 0"),
             rec("progress", done=1, total=2, cached=0, failed=1,
                 retried=0, cellsPerSec=0.5, etaSec=2.0),
         ])
@@ -131,7 +134,7 @@ def main():
         if jp.returncode == 0:
             try:
                 doc = json.loads(jp.stdout)
-                assert doc["workerEvents"] == 3, doc
+                assert doc["workerEvents"] == 4, doc
                 assert doc["crashes"] == 1, doc
                 print("ok: metrics --json counts workers")
             except Exception as e:  # noqa: BLE001
@@ -140,12 +143,19 @@ def main():
         check("metrics bad worker event",
               run([tool, "--metrics", metrics_file("bad-ev.jsonl", [
                   rec("worker", event="oops", worker=0, pid=1,
-                      cell="x", attempt=1)])]),
+                      cell="x")])]),
               False, "unknown worker event")
+        # The supervisor runs one worker per cell; a "steal" (a
+        # duplicate launch of a running cell) is not a valid event.
+        check("metrics steal event rejected",
+              run([tool, "--metrics", metrics_file("steal.jsonl", [
+                  rec("worker", event="steal", worker=1, pid=2,
+                      cell="x", attempt=2)])]),
+              False, "unknown worker event 'steal'")
         check("metrics worker missing pid",
               run([tool, "--metrics", metrics_file("bad-pid.jsonl", [
-                  rec("worker", event="spawn", worker=0, cell="x",
-                      attempt=1)])]),
+                  rec("worker", event="spawn", worker=0,
+                      cell="x")])]),
               False, "field 'pid'")
         check("metrics exit missing status",
               run([tool, "--metrics", metrics_file("bad-st.jsonl", [

@@ -257,13 +257,12 @@ validateMetrics(const char *file, bool json_mode)
                                    "progress done exceeds total");
         } else if (kind.asString() == "worker") {
             // Sweep-supervisor lifecycle (--isolate-cells): a worker
-            // process was spawned, work-stolen or reaped.
+            // process was spawned or reaped.
             workerEvents++;
             const std::string event =
                 requireField(rec, "event", "string", path, lineno)
                     .asString();
-            if (event != "spawn" && event != "steal" &&
-                event != "exit")
+            if (event != "spawn" && event != "exit")
                 throw metricsError(path, lineno,
                                    "unknown worker event '" + event +
                                        "'");
@@ -272,8 +271,6 @@ validateMetrics(const char *file, bool json_mode)
             requireField(rec, "cell", "string", path, lineno);
             if (event == "exit")
                 requireField(rec, "status", "string", path, lineno);
-            else
-                requireField(rec, "attempt", "number", path, lineno);
         } else if (kind.asString() == "crash") {
             // Supervisor-domain cell failure: signal death, hard
             // timeout or heartbeat loss.

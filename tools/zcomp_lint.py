@@ -54,11 +54,6 @@ raw-rand            no C-library randomness (drand48 family, random(),
                     common/rng.hh; complements the `rng` rule (which
                     bans rand()/std:: engines) so every random draw is
                     seeded and reproducible.
-scheme-registration every src/cachecomp/*.cc that defines a
-                    CompressionScheme subclass must also call
-                    registerScheme() - a scheme that never reaches
-                    the registry silently drops out of the Figure 15
-                    tables, report rows, and result-cache keys.
 process-isolation   no raw process primitives (fork/exec*/kill/
                     waitpid/popen/system/...) outside
                     src/common/subprocess.{hh,cc} - all child
@@ -563,36 +558,6 @@ def check_unordered_iteration(root, findings):
                 "container or probe with find()/at() only", col))
 
 
-SCHEME_SUBCLASS_RE = re.compile(
-    r":\s*(?:public\s+)?(?:zcomp\s*::\s*)?CompressionScheme\b")
-SCHEME_REGISTER_RE = re.compile(r"\bregisterScheme\s*\(")
-
-
-def check_scheme_registration(root, findings):
-    """A cachecomp source defining a CompressionScheme subclass must
-    register it; an unregistered scheme is invisible to allSchemes()
-    and silently missing from every table, report row, and cache key
-    keyed off the registry."""
-    for path in iter_files(root, SOURCE_EXTS):
-        rel = relpath(root, path)
-        if not rel.startswith("src/cachecomp/"):
-            continue
-        lines = read_lines(path)
-        allowed = suppressed_lines(lines, "scheme-registration")
-        stripped = strip_comments_and_strings(lines)
-        if SCHEME_REGISTER_RE.search("\n".join(stripped)):
-            continue
-        for i, line in enumerate(stripped, start=1):
-            m = SCHEME_SUBCLASS_RE.search(line)
-            if m and i not in allowed:
-                findings.append(Finding(
-                    "scheme-registration", rel, i,
-                    "CompressionScheme subclass in a file that never "
-                    "calls registerScheme(); the scheme would be "
-                    "missing from allSchemes() tables and cache keys",
-                    m.start() + 1))
-
-
 # The one sanctioned home for raw process plumbing: the Subprocess
 # wrapper's own header and implementation.
 SUBPROCESS_HOME_PREFIX = "src/common/subprocess."
@@ -641,7 +606,6 @@ ALL_RULES = [
     check_wall_clock,
     check_raw_rand,
     check_unordered_iteration,
-    check_scheme_registration,
     check_process_isolation,
 ]
 
@@ -671,9 +635,7 @@ def self_test():
               "    bad_rng.cc annotated.cc catch_swallow.cc\n"
               "    stray_intrin.cc common/simd.cc\n"
               "    raw_mutex.cc wall_clock.cc raw_rand.cc\n"
-              "    unordered_iter.cc cachecomp/scheme_good.cc\n"
-              "    cachecomp/scheme_bad.cc unregistered_elsewhere.cc\n"
-              "    proc_raw.cc common/subprocess.cc)\n")
+              "    unordered_iter.cc proc_raw.cc common/subprocess.cc)\n")
         write(os.path.join(root, "bench", "CMakeLists.txt"),
               "add_executable(timer timer.cc)\n")
         write(os.path.join(root, "src", "clean.cc"),
@@ -796,20 +758,6 @@ def self_test():
               "void go() { execve(p, a, e); }\n"
               "void reap() { waitpid(child, &st, 0); }\n")
 
-        # Outside src/cachecomp/ the scheme-registration rule is
-        # silent; registration there is scheme.cc's business.
-        write(os.path.join(root, "src", "unregistered_elsewhere.cc"),
-              "struct Outside : public CompressionScheme {};\n")
-        write(os.path.join(root, "src", "cachecomp", "scheme_good.cc"),
-              "struct Good : public CompressionScheme {};\n"
-              "void hook() { registerScheme(good); }\n")
-        write(os.path.join(root, "src", "cachecomp", "scheme_bad.cc"),
-              "// `: public CompressionScheme` in a comment is fine\n"
-              "struct Bad : public CompressionScheme {\n"    # flagged
-              "};\n"
-              "// zcomp-lint: allow(scheme-registration)\n"
-              "struct Hidden : public CompressionScheme {};\n")
-
         findings = run_lint(root)
         got = {(f.rule, f.path, f.line) for f in findings}
         want = {
@@ -833,7 +781,6 @@ def self_test():
             ("raw-rand", "src/raw_rand.cc", 2),
             ("unordered-iteration", "src/unordered_iter.cc", 5),
             ("unordered-iteration", "src/unordered_iter.cc", 7),
-            ("scheme-registration", "src/cachecomp/scheme_bad.cc", 2),
             ("process-isolation", "src/proc_raw.cc", 2),
             ("process-isolation", "src/proc_raw.cc", 3),
             ("process-isolation", "src/proc_raw.cc", 4),
