@@ -97,8 +97,7 @@ prepareNet(const StudyModel &m, bool training, uint64_t seed,
 {
     PreparedNet p;
     ArchConfig cfg;
-    p.ctx = arena ? std::make_unique<ExecContext>(cfg, arena)
-                  : std::make_unique<ExecContext>(cfg);
+    p.ctx = std::make_unique<ExecContext>(cfg, arena);
 
     ModelOptions opt;
     opt.batch = training ? m.trainBatch : m.inferBatch;
@@ -119,6 +118,130 @@ prepareNet(const StudyModel &m, bool training, uint64_t seed,
         p.net->lossAndBackward(labels);
     }
     return p;
+}
+
+namespace {
+
+/**
+ * Opens the run's track group and sampler at the first phase, after
+ * NetworkSim::run()'s cold reset: the sampler's cycles start at the
+ * run's cycle 0, and a run that throws before its first phase leaves
+ * no track group. One of the two is open after that (see
+ * observeTelemetry()). The destructor drains and detaches the sampler,
+ * also on a throw.
+ */
+class TelemetryObserver final : public PhaseObserver
+{
+  public:
+    TelemetryObserver(ExecContext &ctx, std::string cell,
+                      std::string policy)
+        : ctx_(ctx), cell_(std::move(cell)), policy_(std::move(policy))
+    {
+        ctx_.setObserver(this);
+    }
+
+    ~TelemetryObserver() override
+    {
+        if (sampler_) {
+            sampler_->finish(ctx_.sys().now());
+            ctx_.sys().attachSampler(nullptr);
+        }
+        ctx_.setObserver(nullptr);
+    }
+
+    void
+    beforePhase(const TracePhase &phase, uint64_t orig_bytes,
+                uint64_t comp_bytes) override
+    {
+        if (tracePid_ < 0 && !sampler_)
+            open();
+        if (!sampler_)
+            return;
+        double ratio = comp_bytes > 0 ? static_cast<double>(orig_bytes) /
+                                            static_cast<double>(comp_bytes)
+                                      : 1.0;
+        sampler_->setLayerContext(phase.name, ratio);
+    }
+
+    void
+    afterPhase(const TracePhase &phase, const PhaseResult &r) override
+    {
+        TraceWriter *tw = TraceWriter::global();
+        if (!tw || tracePid_ < 0)
+            return;
+        // One span per active core, in simulated cycles; the gap to
+        // the next phase's start is that core's barrier wait.
+        for (size_t c = 0; c < r.coreEndTimes.size(); c++) {
+            if (c >= phase.perCore.size() || phase.perCore[c].empty())
+                continue;
+            Json args = Json::object();
+            args["ops"] = phase.perCore[c].size();
+            tw->span(tracePid_, static_cast<int>(c), r.startTime,
+                     r.coreEndTimes[c] - r.startTime, phase.name,
+                     "sim", args);
+        }
+    }
+
+  private:
+    void
+    open()
+    {
+        const int cores = ctx_.config().numCores;
+        // Each (cell, policy) run gets its own simulated track group,
+        // so the per-core lanes of back-to-back policy runs (which
+        // all restart at cycle 0) do not overlap in the trace.
+        if (TraceWriter *tw = TraceWriter::global()) {
+            tracePid_ = tw->newProcess(cell_ + " [" + policy_ + "]");
+            for (int c = 0; c < cores; c++)
+                tw->nameThread(tracePid_, c, format("core %d", c));
+        }
+        MetricsSink *sink = MetricsSink::global();
+        if (!sink)
+            return;
+        auto read = [&sys = ctx_.sys(), cores] {
+            const HierSnapshot h = sys.mem().snapshot();
+            const Dram &dram = sys.mem().dram();
+            SampleCounters c;
+            c.dramBytesRead = dram.bytesRead;
+            c.dramBytesWritten = dram.bytesWritten;
+            c.l3DramBytes = h.l3DramBytes;
+            c.l1Hits = h.l1Hits;
+            c.l1Misses = h.l1Misses;
+            c.l2Hits = h.l2Hits;
+            c.l2Misses = h.l2Misses;
+            c.l3Hits = h.l3Hits;
+            c.l3Misses = h.l3Misses;
+            // Each core's count truncated, then summed, as
+            // statsJson() reports them.
+            for (int i = 0; i < cores; i++)
+                c.zcompBusyCycles +=
+                    static_cast<uint64_t>(sys.core(i).zcompBusyCycles());
+            c.nocHops = h.nocHops;
+            return c;
+        };
+        sampler_ = std::make_unique<MetricsSampler>(
+            sink, cell_, policy_, sink->intervalCycles(), cores, read,
+            tracePid_);
+        sampler_->rebase(ctx_.sys().now());
+        ctx_.sys().attachSampler(sampler_.get());
+    }
+
+    ExecContext &ctx_;
+    std::string cell_;
+    std::string policy_;
+    int tracePid_ = -1;     //!< -1 without --trace
+    std::unique_ptr<MetricsSampler> sampler_;   //!< null without --metrics
+};
+
+} // namespace
+
+std::unique_ptr<PhaseObserver>
+observeTelemetry(ExecContext &ctx, const std::string &cell,
+                 const std::string &policy)
+{
+    if (!TraceWriter::global() && !MetricsSink::global())
+        return nullptr;
+    return std::make_unique<TelemetryObserver>(ctx, cell, policy);
 }
 
 namespace {
@@ -184,12 +307,10 @@ runStudyCell(const StudyModel &m, bool training, const StudyOptions &opt,
     row.simMillis.assign(pols.size(), 0.0);
     NetworkSim sim(*p.ctx, *p.net);
     for (size_t pi = 0; pi < pols.size(); pi++) {
-        NetworkSimConfig cfg;
-        cfg.policy = pols[pi].policy;
-        cfg.traceLabel = cell;
+        auto telemetry = observeTelemetry(*p.ctx, cell, pols[pi].name);
         double tus1 = tw ? tw->nowUs() : 0;
         Clock::time_point t1 = Clock::now();
-        row.results[pi] = sim.run(cfg);
+        row.results[pi] = sim.run({pols[pi].policy});
         row.simMillis[pi] = msSince(t1);
         if (tw) {
             tw->hostSpan(std::string("sim ") + pols[pi].name + " " +
@@ -740,11 +861,11 @@ emitWorkerRecord(Json rec) ZCOMP_EXCLUDES(workerOutMu)
 /**
  * Background sign-of-life emitter: one heartbeat record every ~500ms
  * until destruction. The supervisor SIGKILLs workers whose status
- * channel goes silent past --heartbeat-timeout, so a worker stuck in
- * uninstrumented code (a deadlocked cell, a hung syscall) is reaped
- * even when no hard timeout is armed. The stop flag is polled every
- * 50ms instead of a timed condition wait to keep the thread trivially
- * sanitizer-clean.
+ * channel goes silent past --heartbeat-timeout: a worker process that
+ * stalls as a whole. A hung cell is not caught (this thread beats on
+ * while the cell thread hangs); only --hard-timeout reaps it. The stop
+ * flag is polled every 50ms instead of a timed condition wait to keep
+ * the thread trivially sanitizer-clean.
  */
 class WorkerHeartbeat
 {

@@ -86,6 +86,14 @@ struct PreparedNet
 PreparedNet prepareNet(const StudyModel &m, bool training,
                        uint64_t seed = 1, BumpArena *arena = nullptr);
 
+/**
+ * The --trace / --metrics observer of one policy run, installed on
+ * @p ctx until destroyed; null without either flag. It writes the
+ * run's track group "<cell> [<policy>]" and its "sample" records.
+ */
+std::unique_ptr<PhaseObserver> observeTelemetry(
+    ExecContext &ctx, const std::string &cell, const std::string &policy);
+
 /** How a study cell's row came to be. */
 enum class CellStatus
 {

@@ -27,6 +27,8 @@ main(int argc, char **argv)
         bench::PreparedNet p = bench::prepareNet(m, /*training=*/true);
         NetworkSim sim(*p.ctx, *p.net);
         NetworkSimConfig cfg;    // uncompressed baseline
+        auto telemetry = bench::observeTelemetry(
+            *p.ctx, p.net->name(), ioPolicyName(cfg.policy));
         NetworkSimResult r = sim.run(cfg);
         const CycleBreakdown &bd = r.total.breakdown;
         double total = bd.total();

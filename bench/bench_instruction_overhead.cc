@@ -27,7 +27,7 @@ printBody(const KernelBody &body, Table &table)
             mix += " ";
         mix += instrClassName(cls);
         if (count > 1)
-            mix += "x" + std::to_string(count);
+            mix += format("x%d", count);
     }
     table.addRow({body.name, std::to_string(body.totalInstrs()),
                   std::to_string(body.totalUops()),

@@ -111,10 +111,10 @@ static_assert(sizeof(SampleCounters) ==
 MetricsSampler::MetricsSampler(
     MetricsSink *sink, std::string cell, std::string policy,
     double interval_cycles, int num_cores,
-    std::function<SampleCounters()> provider)
+    std::function<SampleCounters()> provider, int trace_pid)
     : sink_(sink), cell_(std::move(cell)), policy_(std::move(policy)),
       interval_(interval_cycles), numCores_(num_cores),
-      provider_(std::move(provider))
+      provider_(std::move(provider)), tracePid_(trace_pid)
 {
     fatal_if(!(interval_ > 0),
              "metrics interval must be positive (got %g)", interval_);

@@ -124,8 +124,8 @@ struct SampleCounters
 /**
  * Cycle-domain sampler for one (cell, policy) simulation run.
  *
- * A provider callback reads the counters (ExecContext's reads the
- * simulator; tests return fakes). Records name each counter by its
+ * A provider callback reads the counters (the bench observer's reads
+ * the simulator; tests return fakes). Records name each counter by its
  * stats-tree path, with '*' standing for "summed over every core":
  * "mem.l1_*.misses", "core*.zcomp_busy_cycles".
  *
@@ -144,10 +144,13 @@ struct SampleCounters
 class MetricsSampler
 {
   public:
+    /** @p trace_pid routes the derived metrics to Perfetto counter
+     *  tracks under that simulated track group; -1 disables them. */
     MetricsSampler(MetricsSink *sink, std::string cell,
                    std::string policy, double interval_cycles,
                    int num_cores,
-                   std::function<SampleCounters()> provider);
+                   std::function<SampleCounters()> provider,
+                   int trace_pid = -1);
 
     /**
      * Read the counters as the new delta baseline and restart the
@@ -155,12 +158,6 @@ class MetricsSampler
      * (counters may be nonzero when caches start warm).
      */
     void rebase(double now_cycle);
-
-    /**
-     * Route the derived metrics to Perfetto counter tracks under the
-     * given simulated track group; -1 (the default) disables them.
-     */
-    void setTracePid(int pid) { tracePid_ = pid; }
 
     /**
      * The layer pass the stepping loop is currently replaying and its
@@ -195,7 +192,7 @@ class MetricsSampler
     SampleCounters last_;       //!< counters at the previous sample
     double lastCycle_ = 0;
     double nextAt_;
-    int tracePid_ = -1;
+    int tracePid_;
     std::string layer_;
     double layerRatio_ = 1.0;
     uint64_t emitted_ = 0;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/log.hh"
-#include "common/trace_writer.hh"
 
 namespace zcomp {
 
@@ -133,18 +132,12 @@ runStatsFromJson(const Json &j)
     return s;
 }
 
-ExecContext::ExecContext(const ArchConfig &cfg) : sys_(cfg)
-{
-}
-
-ExecContext::ExecContext(const ArchConfig &cfg, BumpArena *arena)
-    : vs_(0x10000, /*allocate_host=*/true, arena), sys_(cfg)
-{
-}
-
 RunStats
-ExecContext::run(const TracePhase &phase)
+ExecContext::run(const TracePhase &phase, uint64_t orig_bytes,
+                 uint64_t comp_bytes)
 {
+    if (observer_)
+        observer_->beforePhase(phase, orig_bytes, comp_bytes);
     HierSnapshot before = sys_.mem().snapshot();
     CycleBreakdown bd_before = sys_.breakdown();
     PhaseResult r = sys_.runPhase(phase);
@@ -152,21 +145,8 @@ ExecContext::run(const TracePhase &phase)
     stats.cycles = r.cycles;
     stats.traffic = diff(sys_.mem().snapshot(), before);
     stats.breakdown = diff(sys_.breakdown(), bd_before);
-
-    // One span per active core on the simulated-cycle timebase; the
-    // gap to the next phase's start is that core's barrier wait.
-    TraceWriter *tw = TraceWriter::global();
-    if (tw && tracePid_ >= 0) {
-        for (size_t c = 0; c < r.coreEndTimes.size(); c++) {
-            if (c >= phase.perCore.size() || phase.perCore[c].empty())
-                continue;
-            Json args = Json::object();
-            args["ops"] = phase.perCore[c].size();
-            tw->span(tracePid_, static_cast<int>(c), r.startTime,
-                     r.coreEndTimes[c] - r.startTime, phase.name,
-                     "sim", args);
-        }
-    }
+    if (observer_)
+        observer_->afterPhase(phase, r);
     return stats;
 }
 
@@ -174,42 +154,6 @@ void
 ExecContext::warm(const TracePhase &phase)
 {
     sys_.runPhase(phase);
-}
-
-std::unique_ptr<MetricsSampler>
-ExecContext::makeMetricsSampler(const std::string &cell,
-                                const std::string &policy)
-{
-    MetricsSink *sink = MetricsSink::global();
-    if (!sink)
-        return nullptr;
-    auto read = [this] {
-        const HierSnapshot h = sys_.mem().snapshot();
-        const Dram &dram = sys_.mem().dram();
-        SampleCounters c;
-        c.dramBytesRead = dram.bytesRead;
-        c.dramBytesWritten = dram.bytesWritten;
-        c.l3DramBytes = h.l3DramBytes;
-        c.l1Hits = h.l1Hits;
-        c.l1Misses = h.l1Misses;
-        c.l2Hits = h.l2Hits;
-        c.l2Misses = h.l2Misses;
-        c.l3Hits = h.l3Hits;
-        c.l3Misses = h.l3Misses;
-        // Each core's count truncated, then summed, as statsJson()
-        // reports them.
-        for (int i = 0; i < sys_.config().numCores; i++)
-            c.zcompBusyCycles +=
-                static_cast<uint64_t>(sys_.core(i).zcompBusyCycles());
-        c.nocHops = h.nocHops;
-        return c;
-    };
-    auto s = std::make_unique<MetricsSampler>(
-        sink, cell, policy, sink->intervalCycles(),
-        sys_.config().numCores, read);
-    s->setTracePid(tracePid_);
-    s->rebase(sys_.now());
-    return s;
 }
 
 } // namespace zcomp

@@ -9,10 +9,7 @@
 #ifndef ZCOMP_SIM_EXEC_CONTEXT_HH
 #define ZCOMP_SIM_EXEC_CONTEXT_HH
 
-#include <memory>
-
 #include "common/json.hh"
-#include "common/metrics.hh"
 #include "cpu/system.hh"
 #include "mem/vspace.hh"
 
@@ -45,19 +42,35 @@ Json runStatsToJson(const RunStats &s);
  */
 RunStats runStatsFromJson(const Json &j);
 
+/**
+ * Called around each phase ExecContext::run() replays; the bench layer
+ * turns the calls into --trace spans and --metrics samples. The byte
+ * counts are the pass's stream bytes before compression and as its
+ * policy moves them (both 0 when the caller does not count them).
+ */
+class PhaseObserver
+{
+  public:
+    virtual ~PhaseObserver() = default;
+    virtual void beforePhase(const TracePhase &phase, uint64_t orig_bytes,
+                             uint64_t comp_bytes) = 0;
+    virtual void afterPhase(const TracePhase &phase,
+                            const PhaseResult &r) = 0;
+};
+
 class ExecContext
 {
   public:
-    explicit ExecContext(const ArchConfig &cfg);
-
     /**
-     * Back the context's VSpace with a caller-owned bump arena: every
-     * tensor and scratch buffer is carved from @p arena instead of
-     * individual heap allocations. The arena must outlive the context
-     * and may only be reset() after the context (and everything
-     * holding its buffers) is gone.
+     * A non-null @p arena backs the context's VSpace: every tensor and
+     * scratch buffer is carved from it instead of individual heap
+     * allocations. The arena must outlive the context and may only be
+     * reset() after the context (and everything holding its buffers)
+     * is gone.
      */
-    ExecContext(const ArchConfig &cfg, BumpArena *arena);
+    explicit ExecContext(const ArchConfig &cfg, BumpArena *arena = nullptr)
+        : vs_(0x10000, /*allocate_host=*/true, arena), sys_(cfg)
+    {}
 
     VSpace &vs() { return vs_; }
     MultiCoreSystem &sys() { return sys_; }
@@ -67,37 +80,20 @@ class ExecContext
      * Run one phase and return its cycle/traffic delta (counters are
      * snapshotted around the phase; cache contents persist).
      */
-    RunStats run(const TracePhase &phase);
+    RunStats run(const TracePhase &phase, uint64_t orig_bytes = 0,
+                 uint64_t comp_bytes = 0);
 
     /** Run a phase without accounting (cache warmup). */
     void warm(const TracePhase &phase);
 
-    /**
-     * Route subsequent run() phases to a Perfetto track group: each
-     * phase becomes one span per active core (lane = core id, ts =
-     * simulated cycles) under the given trace pid. -1 (the default)
-     * disables emission; a null global TraceWriter also disables it.
-     */
-    void setTracePid(int pid) { tracePid_ = pid; }
-    int tracePid() const { return tracePid_; }
-
-    /**
-     * Build a cycle-domain MetricsSampler for one (cell, policy)
-     * simulation against this context's system: the standard probe
-     * set (DRAM bytes, per-level hits/misses, zcomp busy cycles, NoC
-     * hops), the --metrics-interval from the global MetricsSink, and
-     * the current trace pid for Perfetto counter tracks. Returns null
-     * when no global sink is installed (no --metrics flag), so the
-     * caller's attach stays a simple null check. The sampler holds a
-     * reference to this context and must not outlive it.
-     */
-    std::unique_ptr<MetricsSampler> makeMetricsSampler(
-        const std::string &cell, const std::string &policy);
+    /** Observe later run() phases (null stops); not owned. */
+    void setObserver(PhaseObserver *obs) { observer_ = obs; }
+    PhaseObserver *observer() const { return observer_; }
 
   private:
     VSpace vs_;
     MultiCoreSystem sys_;
-    int tracePid_ = -1;
+    PhaseObserver *observer_ = nullptr;
 };
 
 } // namespace zcomp

@@ -1,13 +1,12 @@
 #include "sim/network_sim.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <numeric>
 
 #include "common/bitops.hh"
 #include "common/check.hh"
 #include "common/fault.hh"
 #include "common/log.hh"
-#include "common/trace_writer.hh"
 #include "dnn/layers/conv.hh"
 #include "dnn/layers/fc.hh"
 #include "isa/dtype.hh"
@@ -84,13 +83,12 @@ class PassBuilder
 {
   public:
     PassBuilder(ExecContext &ctx, const NetworkSimConfig &cfg,
-                std::string name, MetricsSampler *sampler = nullptr)
+                std::string name)
         : ctx_(ctx), cfg_(cfg),
           phase_(std::move(name), ctx.config().numCores),
           cores_(ctx.config().numCores),
           logicLat_(static_cast<uint8_t>(
-              ctx.config().zcomp.logicLatency)),
-          sampler_(sampler)
+              ctx.config().zcomp.logicLatency))
     {}
 
     /** Emit an interleaved streaming pass over the given tensors. */
@@ -105,22 +103,19 @@ class PassBuilder
             1, std::min(subBlocks,
                         CoreModel::maxStreams /
                             std::max<int>(1, specs.size())));
-        // Static compression ratio of this pass's streams, for the
-        // sampler's live per-layer metric. Only paid when a sampler
-        // exists (--metrics); the per-vector sizes are the memoized
-        // nnz counts the emit loop replays anyway.
-        if (sampler_) {
+        // This pass's bytes before and after compression, for the
+        // phase observer. Only paid when one is installed; the
+        // per-vector sizes are the memoized nnz counts the emit loop
+        // replays anyway.
+        if (ctx_.observer()) {
             for (const StreamSpec &spec : specs) {
-                size_t vecs = spec.tensor->elems() / 16;
-                uint64_t orig = static_cast<uint64_t>(vecs) * 64;
-                uint64_t comp = orig;
-                if (spec.compress) {
-                    uint64_t payload = 0;
-                    for (size_t v = 0; v < vecs; v++)
-                        payload += spec.nnz[v];
-                    comp = vecs * hdrB + payload * 4;
-                }
-                origBytes_ += orig;
+                uint64_t vecs = spec.tensor->elems() / 16;
+                uint64_t comp = vecs * 64;
+                if (spec.compress)
+                    comp = vecs * hdrB +
+                           4 * std::accumulate(spec.nnz, spec.nnz + vecs,
+                                               uint64_t{0});
+                origBytes_ += vecs * 64;
                 compBytes_ += comp;
             }
         }
@@ -146,7 +141,7 @@ class PassBuilder
     {
         if (panel_bytes == 0 || m_rows == 0)
             return;
-        if (sampler_) {
+        if (ctx_.observer()) {
             // Weight panels always move uncompressed: ratio 1.
             origBytes_ += panel_bytes;
             compBytes_ += panel_bytes;
@@ -179,18 +174,7 @@ class PassBuilder
         }
     }
 
-    RunStats
-    run()
-    {
-        if (sampler_) {
-            sampler_->setLayerContext(
-                phase_.name,
-                compBytes_ > 0 ? static_cast<double>(origBytes_) /
-                                     static_cast<double>(compBytes_)
-                               : 1.0);
-        }
-        return ctx_.run(phase_);
-    }
+    RunStats run() { return ctx_.run(phase_, origBytes_, compBytes_); }
 
   private:
     struct StreamState
@@ -327,7 +311,6 @@ class PassBuilder
     TracePhase phase_;
     int cores_;
     uint8_t logicLat_;
-    MetricsSampler *sampler_;
     uint64_t origBytes_ = 0;    //!< pass bytes before compression
     uint64_t compBytes_ = 0;    //!< pass bytes as the policy moves them
 };
@@ -436,42 +419,6 @@ NetworkSim::run(const NetworkSimConfig &cfg)
     // policy runs sharing this NetworkSim are independent.
     ctx_.sys().resetAll();
 
-    // Each (network, policy) run gets its own simulated track group
-    // so the per-core lanes of back-to-back policy runs (which all
-    // restart at cycle 0) do not overlap in the trace.
-    const std::string label =
-        cfg.traceLabel.empty() ? net_.name() : cfg.traceLabel;
-    int prev_pid = ctx_.tracePid();
-    if (TraceWriter *tw = TraceWriter::global()) {
-        int pid = tw->newProcess(
-            label + " [" + ioPolicyName(cfg.policy) + "]");
-        for (int c = 0; c < ctx_.config().numCores; c++)
-            tw->nameThread(pid, c, format("core %d", c));
-        ctx_.setTracePid(pid);
-    }
-
-    // Cycle-domain sampler for this (cell, policy) run; null without
-    // --metrics. Created after the resetAll/newProcess above so its
-    // cycle stream starts at this run's cycle 0 and its counter
-    // tracks land in this run's track group. The scope guard drains
-    // the final partial window and detaches on every return path.
-    std::unique_ptr<MetricsSampler> sampler =
-        ctx_.makeMetricsSampler(label, ioPolicyName(cfg.policy));
-    struct SamplerScope
-    {
-        ExecContext &ctx;
-        MetricsSampler *s;
-        ~SamplerScope()
-        {
-            if (s) {
-                s->finish(ctx.sys().now());
-                ctx.sys().attachSampler(nullptr);
-            }
-        }
-    } sampler_scope{ctx_, sampler.get()};
-    if (sampler)
-        ctx_.sys().attachSampler(sampler.get());
-
     NetworkSimResult result;
     bool avx = cfg.policy == IoPolicy::Avx512Comp;
 
@@ -559,8 +506,7 @@ NetworkSim::run(const NetworkSimConfig &cfg)
             // per-core L2-resident scratch (whose writes are absorbed
             // locally and charged as the extra uop).
             {
-                PassBuilder pb(ctx_, cfg, n.layer->name() + ".pack",
-                               sampler.get());
+                PassBuilder pb(ctx_, cfg, n.layer->name() + ".pack");
                 pb.stream({spec(n.inputs[0], false, false, false, 1)});
                 record(n.layer->name() + ".pack", false, pb.run());
             }
@@ -571,8 +517,7 @@ NetworkSim::run(const NetworkSimConfig &cfg)
                 uint64_t wbytes = n.layer->weightBytes();
                 uint64_t m_rows =
                     wbytes ? macs / (wbytes / 4) : 0;
-                PassBuilder pb(ctx_, cfg, n.layer->name() + ".gemm",
-                               sampler.get());
+                PassBuilder pb(ctx_, cfg, n.layer->name() + ".gemm");
                 pb.gemmCompute(weightBase(*n.layer), wbytes, m_rows);
                 record(n.layer->name() + ".gemm", false, pb.run());
             }
@@ -585,8 +530,7 @@ NetworkSim::run(const NetworkSimConfig &cfg)
                 bool fused = fuse_out[i] >= 0 &&
                              cfg.policy == IoPolicy::Zcomp &&
                              compressible(net_.activation(out_node));
-                PassBuilder pb(ctx_, cfg, n.layer->name() + ".out",
-                               sampler.get());
+                PassBuilder pb(ctx_, cfg, n.layer->name() + ".out");
                 pb.stream({spec(out_node, false, true, fused,
                                 fused ? 0 : 1)});
                 record(n.layer->name() + ".out", false, pb.run());
@@ -603,15 +547,13 @@ NetworkSim::run(const NetworkSimConfig &cfg)
                      cfg.policy == IoPolicy::Zcomp &&
                      compressible(out);
         specs.push_back(spec(node, false, true, fused, fused ? 0 : 1));
-        PassBuilder pb(ctx_, cfg, n.layer->name(), sampler.get());
+        PassBuilder pb(ctx_, cfg, n.layer->name());
         pb.stream(specs);
         record(n.layer->name(), false, pb.run());
     }
 
-    if (!net_.training()) {
-        ctx_.setTracePid(prev_pid);
+    if (!net_.training())
         return result;
-    }
 
     // ----------------------------------------------------- backward
     for (size_t i = net_.numNodes(); i-- > 1;) {
@@ -632,8 +574,7 @@ NetworkSim::run(const NetworkSimConfig &cfg)
             // dW: re-read dY and X (packed), accumulate into the
             // weight-gradient region (modeled over the weight panel).
             {
-                PassBuilder pb(ctx_, cfg, n.layer->name() + ".dw",
-                               sampler.get());
+                PassBuilder pb(ctx_, cfg, n.layer->name() + ".dw");
                 pb.stream({spec(node, true, false, false, 1),
                            spec(n.inputs[0], false, false, false, 1)});
                 pb.gemmCompute(weightBase(*n.layer), wbytes, m_rows);
@@ -645,8 +586,7 @@ NetworkSim::run(const NetworkSimConfig &cfg)
             // mask) and the gradient lands below the ReLU.
             int dx_node = grad_target(n.inputs[0]);
             if (dx_node != 0) {
-                PassBuilder pb(ctx_, cfg, n.layer->name() + ".dx",
-                               sampler.get());
+                PassBuilder pb(ctx_, cfg, n.layer->name() + ".dx");
                 pb.gemmCompute(weightBase(*n.layer), wbytes, m_rows);
                 std::vector<StreamSpec> dx_specs;
                 if (dx_node != n.inputs[0]) {
@@ -673,13 +613,10 @@ NetworkSim::run(const NetworkSimConfig &cfg)
                 continue;
             specs.push_back(spec(in, true, true, false, 1));
         }
-        PassBuilder pb(ctx_, cfg, n.layer->name() + ".bwd",
-                               sampler.get());
+        PassBuilder pb(ctx_, cfg, n.layer->name() + ".bwd");
         pb.stream(specs);
         record(n.layer->name() + ".bwd", true, pb.run());
     }
-
-    ctx_.setTracePid(prev_pid);
     return result;
 }
 

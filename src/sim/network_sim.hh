@@ -61,13 +61,6 @@ const char *ioPolicyName(IoPolicy p);
 struct NetworkSimConfig
 {
     IoPolicy policy = IoPolicy::Uncompressed;
-
-    /**
-     * Label for this run's Perfetto track group ("<model> (train)");
-     * empty uses the network's name. Only consulted when a global
-     * TraceWriter is installed (--trace).
-     */
-    std::string traceLabel;
 };
 
 /** Per-layer-pass accounting (also powers the examples). */

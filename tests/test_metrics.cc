@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_common.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
 #include "dnn/layers/activation.hh"
@@ -108,6 +109,16 @@ makeSetup(int batch = 4)
     return s;
 }
 
+/** One run under the bench's --metrics observer (cell "mid"). */
+NetworkSimResult
+observedRun(SimSetup &s, const NetworkSimConfig &cfg)
+{
+    std::unique_ptr<PhaseObserver> obs =
+        bench::observeTelemetry(*s.ctx, "mid", ioPolicyName(cfg.policy));
+    EXPECT_NE(obs, nullptr);
+    return s.sim->run(cfg);
+}
+
 } // namespace
 
 TEST(MetricsSampler, PerCoreSumsReportWindowDeltas)
@@ -116,7 +127,7 @@ TEST(MetricsSampler, PerCoreSumsReportWindowDeltas)
     MetricsSink sink(tmp.path);
 
     // A two-core machine: the provider sums each core's counters, as
-    // ExecContext's does, and the records carry the sums' deltas.
+    // the bench observer's does, and the records carry the sums' deltas.
     uint64_t l1_0 = 0, l1_1 = 0, busy0 = 0, busy1 = 0;
     auto provider = [&] {
         SampleCounters c;
@@ -266,7 +277,7 @@ TEST(Metrics, SamplingDoesNotPerturbSimResults)
     TempPath tmp("test_metrics_perturb.jsonl");
     MetricsSink::enableGlobal(tmp.path, 20000);
     SimSetup metered = makeSetup();
-    NetworkSimResult sampled = metered.sim->run(cfg);
+    NetworkSimResult sampled = observedRun(metered, cfg);
     MetricsSink::finishGlobal();
 
     EXPECT_EQ(base.cycles(), sampled.cycles());
@@ -305,7 +316,7 @@ TEST(Metrics, SampledCountersSumToRunTraffic)
     TempPath tmp("test_metrics_sum.jsonl");
     MetricsSink::enableGlobal(tmp.path, 20000);
     SimSetup s = makeSetup();
-    NetworkSimResult r = s.sim->run(cfg);
+    NetworkSimResult r = observedRun(s, cfg);
     MetricsSink::finishGlobal();
 
     std::vector<Json> recs = readJsonl(tmp.path);
@@ -338,7 +349,7 @@ TEST(Metrics, SampleStreamIsDeterministicModuloHostMs)
     auto run = [&](const std::string &path) {
         MetricsSink::enableGlobal(path, 50000);
         SimSetup s = makeSetup();
-        s.sim->run(cfg);
+        observedRun(s, cfg);
         MetricsSink::finishGlobal();
         std::vector<std::string> lines;
         for (Json &rec : readJsonl(path)) {

@@ -204,6 +204,77 @@ TEST(NetworkSim, SeparateRunsShareFunctionalState)
     EXPECT_EQ(a.trafficBytes(), b.trafficBytes());
 }
 
+namespace {
+
+/** Records every phase-observer call in order. */
+struct RecordingObserver : PhaseObserver
+{
+    struct Call
+    {
+        bool before;
+        std::string name;
+        uint64_t orig = 0, comp = 0;    //!< before calls
+        double cycles = 0;              //!< after calls
+    };
+    std::vector<Call> calls;
+
+    void
+    beforePhase(const TracePhase &phase, uint64_t orig_bytes,
+                uint64_t comp_bytes) override
+    {
+        calls.push_back({true, phase.name, orig_bytes, comp_bytes});
+    }
+
+    void
+    afterPhase(const TracePhase &phase, const PhaseResult &r) override
+    {
+        calls.push_back({false, phase.name, 0, 0, r.cycles});
+    }
+};
+
+} // namespace
+
+TEST(NetworkSim, ObserverSeesEachPassOnceWithItsRatio)
+{
+    SimSetup s = makeSetup(true, 4);
+    for (IoPolicy pol : {IoPolicy::Uncompressed, IoPolicy::Zcomp}) {
+        SCOPED_TRACE(ioPolicyName(pol));
+        NetworkSimConfig cfg;
+        cfg.policy = pol;
+        NetworkSimResult plain = s.sim->run(cfg);
+
+        RecordingObserver obs;
+        s.ctx->setObserver(&obs);
+        NetworkSimResult r = s.sim->run(cfg);
+        s.ctx->setObserver(nullptr);
+
+        // Observing does not perturb the replay.
+        EXPECT_EQ(r.cycles(), plain.cycles());
+        EXPECT_EQ(r.trafficBytes(), plain.trafficBytes());
+
+        // One before/after pair per replayed pass, in pass order.
+        ASSERT_EQ(obs.calls.size(), 2 * r.layers.size());
+        bool compressed = false;
+        for (size_t i = 0; i < r.layers.size(); i++) {
+            const RecordingObserver::Call &b = obs.calls[2 * i];
+            const RecordingObserver::Call &a = obs.calls[2 * i + 1];
+            EXPECT_TRUE(b.before);
+            EXPECT_FALSE(a.before);
+            EXPECT_EQ(b.name, r.layers[i].name);
+            EXPECT_EQ(a.name, r.layers[i].name);
+            EXPECT_EQ(a.cycles, r.layers[i].stats.cycles);
+            ASSERT_GT(b.comp, 0u) << b.name;
+            double ratio = static_cast<double>(b.orig) /
+                           static_cast<double>(b.comp);
+            if (pol == IoPolicy::Uncompressed) {
+                EXPECT_EQ(ratio, 1.0) << b.name;
+            }
+            compressed |= ratio > 1.0;
+        }
+        EXPECT_EQ(compressed, pol == IoPolicy::Zcomp);
+    }
+}
+
 TEST(NetworkSim, DenseTensorsStayUncompressed)
 {
     // The compressibility gate: with dense inputs and no ReLU fusion

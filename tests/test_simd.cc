@@ -231,11 +231,12 @@ TEST(SimdDiff, PackUnpackLanesExactAndUnaligned)
                               static_cast<size_t>(nnz * eb));
                     // expect.data() is null when the header is empty;
                     // memcmp's arguments are declared nonnull.
-                    if (!expect.empty())
+                    if (!expect.empty()) {
                         EXPECT_EQ(std::memcmp(packed, expect.data(),
                                               expect.size()),
                                   0)
                             << simd::backendName(b) << " eb=" << eb;
+                    }
                     // Nothing beyond popcount*eb may be written.
                     for (size_t i = expect.size(); i < 64; i++)
                         ASSERT_EQ(packed[i], 0xEE);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/log.hh"
 #include "mem/vspace.hh"
 
 using namespace zcomp;
@@ -52,7 +53,7 @@ TEST(VSpace, StableReferencesAcrossManyAllocations)
     Addr base = first.base;
     uint8_t *host = first.host;
     for (int i = 0; i < 1000; i++)
-        vs.alloc("x" + std::to_string(i), 64, AllocClass::Other);
+        vs.alloc(format("x%d", i), 64, AllocClass::Other);
     EXPECT_EQ(first.base, base);
     EXPECT_EQ(first.host, host);
 }

@@ -15,7 +15,9 @@ it writes, with a committed golden file:
                                 perturb the simulation) and one
                                 --isolate-cells --workers 2 run
   bench_smoke_metrics.jsonl     the "sample" records of a --jobs 1
-                                --metrics run, without "hostMs"
+                                --metrics --trace run, without "hostMs"
+  bench_smoke_trace.txt         that run's --trace file: one line per
+                                simulated track group
   bench_smoke_stats.json        the --report rows' stats trees of the
                                 isolated run, keyed by mode
   bench_ablation_prefetch.txt   both prefetchers on and off
@@ -35,7 +37,11 @@ compared with trailing digits stripped from every line (the same
 in that form. The metrics golden keeps each record's text as the
 program wrote it, minus the host-clock "hostMs" member, so doubles keep
 their C++ spelling; the stats golden is `json.dumps(..., indent=1)`,
-which keeps key order.
+which keeps key order. The trace golden keys each simulated track
+group by its process name (pids follow scheduling) and holds its event
+count and the SHA-256 of its sorted canonical events: spans, counter
+samples and lane names, each as sorted-key JSON without the pid. The
+host group (pid 0) is wall-clock time and is left out.
 
 After an intended model change, --regen rewrites every golden from the
 same runs and canon (all runs that feed one golden must agree); explain
@@ -48,6 +54,7 @@ every check matches (or every golden was written), 1 otherwise.
 import argparse
 import concurrent.futures
 import difflib
+import hashlib
 import json
 import os
 import re
@@ -78,6 +85,28 @@ def report_stats(path):
     return json.dumps({r["mode"]: r["stats"] for r in rows}, indent=1) + "\n"
 
 
+def trace_groups(path):
+    """"name<TAB>events<TAB>sha256" per simulated track group."""
+    with open(path) as f:
+        events = json.load(f)["traceEvents"]
+    names, groups = {}, {}
+    for ev in events:
+        pid = ev.pop("pid")
+        if pid == 0:
+            continue
+        if ev["ph"] == "M" and ev["name"] == "process_name":
+            names[pid] = ev["args"]["name"]
+        elif ev["ph"] != "M" or ev["name"] == "thread_name":
+            groups.setdefault(pid, []).append(
+                json.dumps(ev, sort_keys=True, separators=(",", ":")))
+    lines = []
+    for pid, name in names.items():
+        evs = sorted(groups.get(pid, []))
+        digest = hashlib.sha256("\n".join(evs).encode()).hexdigest()
+        lines.append(f"{name}\t{len(evs)}\t{digest}\n")
+    return "".join(sorted(lines))
+
+
 def runs(tmp):
     """(label, argv, ZCOMP_SIMD or None, [(golden, extract)]) per run.
 
@@ -95,11 +124,14 @@ def runs(tmp):
                  "--metrics-interval", "20000"], None,
                 [("bench_smoke.txt", strip_ms)]))
     samples = os.path.join(tmp, "samples.jsonl")
-    out.append(("bench_smoke --jobs 1 --metrics-interval 250000",
+    trace = os.path.join(tmp, "trace.json")
+    out.append(("bench_smoke --jobs 1 --metrics-interval 250000 --trace",
                 ["bench_smoke", "--jobs", "1", "--metrics", samples,
-                 "--metrics-interval", "250000"], None,
+                 "--metrics-interval", "250000", "--trace", trace], None,
                 [("bench_smoke_metrics.jsonl",
-                  lambda _: metric_samples(samples))]))
+                  lambda _: metric_samples(samples)),
+                 ("bench_smoke_trace.txt",
+                  lambda _: trace_groups(trace))]))
     report = os.path.join(tmp, "report.json")
     out.append(("bench_smoke --isolate-cells --workers 2",
                 ["bench_smoke", "--jobs", "1", "--isolate-cells",
