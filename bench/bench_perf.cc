@@ -2,12 +2,12 @@
  * @file
  * bench_perf - the simulator's performance-regression trajectory.
  *
- * Runs a pinned micro-kernel set (ZCOMP vector round-trips, FPC line
- * classification, GEMM) and a pinned Figure 13/14 study subset under
- * every available SIMD backend in one process, and writes a
- * BENCH_<date>.json snapshot: throughput rates, wall-clock per
- * figure subset, peak RSS, git sha and backend names. CI compares a
- * fresh snapshot against the committed baseline with
+ * Runs a pinned micro-kernel set (ZCOMP vector round-trips, FPC,
+ * FPC-D, EBPC and ZVC line sizing, GEMM) and a pinned Figure 13/14
+ * study subset under every available SIMD backend in one process,
+ * and writes a BENCH_<date>.json snapshot: throughput rates,
+ * wall-clock per figure subset, peak RSS, git sha and backend names.
+ * CI compares a fresh snapshot against the committed baseline with
  * tools/bench_perf.py and fails on >5% regressions (see
  * EXPERIMENTS.md, "bench_perf trajectory").
  *
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
+#include "cachecomp/cache_model.hh"
 #include "cachecomp/ebpc.hh"
 #include "cachecomp/fpc.hh"
 #include "cachecomp/fpcd.hh"
@@ -113,6 +114,25 @@ microFpcLines(bool quick)
     double sec = secSince(t0);
     fatal_if(sink == 0, "bench_perf fpc sink is zero");
     return static_cast<double>(lines) * 2 * iters / sec;
+}
+
+/** FPC-D sizing through limitCCRatio()'s 16-line block path, in
+ *  lines/sec (fpcLinesPerSec sizes one line at a time). */
+double
+microFpcdLines(bool quick)
+{
+    const size_t lines = quick ? (size_t{1} << 14) : (size_t{1} << 16);
+    const int iters = quick ? 4 : 16;
+    std::vector<float> pat = sparsePattern(lines * 16);
+    const uint8_t *bytes = reinterpret_cast<const uint8_t *>(pat.data());
+
+    Clock::time_point t0 = Clock::now();
+    double sink = 0;
+    for (int it = 0; it < iters; it++)
+        sink += limitCCRatio(bytes, lines * 64);
+    double sec = secSince(t0);
+    fatal_if(sink == 0, "bench_perf fpcd sink is zero");
+    return static_cast<double>(lines) * iters / sec;
 }
 
 /** One scheme codec's 64 B line sizing over sparse data, lines/sec
@@ -245,6 +265,7 @@ main(int argc, char **argv)
         Json micro = Json::object();
         micro["vecRoundTripsPerSec"] = microVecRoundTrips(quick);
         micro["fpcLinesPerSec"] = microFpcLines(quick);
+        micro["fpcdLinesPerSec"] = microFpcdLines(quick);
         micro["ebpcLinesPerSec"] = microSchemeLines(ebpcLineBytes, quick);
         micro["zvcLinesPerSec"] = microSchemeLines(zvcLineBytes, quick);
         micro["gemmMacsPerSec"] = microGemm(quick);

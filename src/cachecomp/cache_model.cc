@@ -26,6 +26,25 @@ storedFpcdLineBytes(const uint8_t *line)
     return std::min(schemeLineBytes, fpcdLineBytes(line));
 }
 
+/**
+ * Call f(stored FPC-D size) for each line of a snapshot, in order.
+ * Sizes come from fpcdLinesBytes() a chunk at a time, so whole
+ * 16-line blocks take its vector path.
+ */
+template <typename F>
+void
+forEachStoredFpcdLine(const uint8_t *data, size_t lines, F &&f)
+{
+    constexpr size_t chunk = 256;
+    int sizes[chunk];
+    for (size_t base = 0; base < lines; base += chunk) {
+        const size_t n = std::min(chunk, lines - base);
+        fpcdLinesBytes(data + base * 64, n, sizes);
+        for (size_t i = 0; i < n; i++)
+            f(std::min(schemeLineBytes, sizes[i]));
+    }
+}
+
 } // namespace
 
 double
@@ -47,9 +66,9 @@ limitCCRatio(const uint8_t *data, size_t bytes)
     if (bytes == 0)
         return 1.0;
     uint64_t compressed = 0;
-    for (size_t off = 0; off < bytes; off += 64)
-        compressed +=
-            static_cast<uint64_t>(storedFpcdLineBytes(data + off));
+    forEachStoredFpcdLine(data, bytes / 64, [&](int sz) {
+        compressed += static_cast<uint64_t>(sz);
+    });
     return static_cast<double>(bytes) / static_cast<double>(compressed);
 }
 
@@ -67,19 +86,19 @@ twoTagCCRatio(const uint8_t *data, size_t bytes, int sets)
     // compressed sizes fit a single 64 B physical line.
     std::vector<int> pending(static_cast<size_t>(sets), -1);
     uint64_t physical = 0;
-    for (size_t l = 0; l < lines; l++) {
-        int set = static_cast<int>(l % static_cast<size_t>(sets));
-        int sz = storedFpcdLineBytes(data + l * 64);
-        int prev = pending[static_cast<size_t>(set)];
+    size_t set = 0;
+    forEachStoredFpcdLine(data, lines, [&](int sz) {
+        int &prev = pending[set];
+        set = set + 1 == pending.size() ? 0 : set + 1;
         if (prev >= 0 && prev + sz <= 64) {
             // Pair completes: the two logical lines share one
             // physical line (already counted when prev was opened).
-            pending[static_cast<size_t>(set)] = -1;
+            prev = -1;
         } else {
             physical++;
-            pending[static_cast<size_t>(set)] = sz;
+            prev = sz;
         }
-    }
+    });
     return static_cast<double>(lines) / static_cast<double>(physical);
 }
 

@@ -1,56 +1,54 @@
 #include "cachecomp/ebpc.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "cachecomp/scheme.hh"
+#include "common/simd.hh"
 
 namespace zcomp {
 
 int
-ebpcLineBytes(const uint8_t *line)
+ebpcLineBits(const uint8_t *line)
 {
+    int bits = 0;
+    if (simd::ebpcLineBits(line, bits))
+        return bits;
+
     uint32_t words[schemeLineWords];
     std::memcpy(words, line, schemeLineBytes);
+    uint32_t zeros = 0;
+    for (int w = 0; w < schemeLineWords; w++)
+        zeros |= static_cast<uint32_t>(words[w] == 0) << w;
+    const int k = schemeLineWords - std::popcount(zeros);
 
-    // Zero-runlength front end over the 16 words.
-    uint32_t nonzeros[schemeLineWords];
-    int k = 0;
-    int bits = 0;
-    for (int w = 0; w < schemeLineWords;) {
-        if (words[w] == 0) {
-            int run = 0;
-            while (w < schemeLineWords && words[w] == 0) {
-                run++;
-                w++;
-            }
-            bits += 5;      // run flag + 4-bit length (run <= 16)
-            (void)run;
-        } else {
-            bits += 1;      // keep flag
-            nonzeros[k++] = words[w];
-            w++;
-        }
-    }
+    // Front end: 5 bits per maximal zero run (a zero word whose
+    // predecessor is not zero starts one), 1 keep flag per nonzero.
+    bits = 5 * std::popcount(zeros & ~(zeros << 1)) + k;
+    if (k == 0)
+        return bits;
 
-    // Bit-plane back end over the nonzero stream.
-    if (k > 0) {
-        bits += 32;         // first value verbatim
-        if (k > 1) {
-            for (int plane = 0; plane < 32; plane++) {
-                bool populated = false;
-                for (int i = 1; i < k; i++) {
-                    uint32_t delta = nonzeros[i] ^ nonzeros[i - 1];
-                    if ((delta >> plane) & 1) {
-                        populated = true;
-                        break;
-                    }
-                }
-                bits += populated ? 1 + (k - 1) : 1;
-            }
+    // Back end: the first nonzero verbatim, then 32 delta planes of
+    // 1 bit each plus k-1 bits for every plane some delta populates.
+    bits += 32;
+    if (k > 1) {
+        uint32_t prev = words[std::countr_zero(~zeros)];
+        uint32_t planes = 0;
+        for (int w = 0; w < schemeLineWords; w++) {
+            const uint32_t word = words[w];
+            planes |= word ? word ^ prev : 0;
+            prev = word ? word : prev;
         }
+        bits += 32 + std::popcount(planes) * (k - 1);
     }
-    return std::min(schemeLineBytes, (bits + 7) / 8);
+    return bits;
+}
+
+int
+ebpcLineBytes(const uint8_t *line)
+{
+    return std::min(schemeLineBytes, (ebpcLineBits(line) + 7) / 8);
 }
 
 namespace {

@@ -17,6 +17,20 @@
  *    their predecessor and sent as 32 bit-planes, where an all-zero
  *    plane costs 1 bit and a populated plane costs 1 + (k-1) bits.
  *
+ * Both stages reduce to a closed form over the zero-word mask z (bit
+ * w set iff word w is zero) and the k = 16 - popcount(z) nonzeros:
+ *
+ *   bits = 5 * popcount(z & ~(z << 1))            zero runs (a run
+ *        + k                                       starts at a zero
+ *        + (k > 0 ? 32 : 0)                        word whose
+ *        + (k > 1 ? 32 + popcount(D) * (k-1) : 0)  predecessor is not)
+ *
+ * where D is the OR of the XOR deltas of consecutive nonzeros: plane
+ * p is populated iff some delta has bit p set, i.e. iff bit p of D is
+ * set. ebpcLineBits() computes exactly this, with no per-plane scan;
+ * simd::ebpcLineBits() is its AVX-512 twin (test mask, compress the
+ * nonzeros, align by one lane, XOR, OR-reduce).
+ *
  * Worked golden values (tests/test_scheme.cc):
  *  - all-zero line: one 16-word run = 5 bits -> 1 byte;
  *  - 16 identical nonzeros: 16 flags + 32 verbatim + 32 empty planes
@@ -31,6 +45,9 @@
 #include <cstdint>
 
 namespace zcomp {
+
+/** EBPC encoded size of one 64-byte line, in bits (unclamped). */
+int ebpcLineBits(const uint8_t *line);
 
 /** EBPC compressed size of one 64-byte line, in bytes (<= 64). */
 int ebpcLineBytes(const uint8_t *line);

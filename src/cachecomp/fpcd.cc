@@ -62,8 +62,21 @@ fpcdLineBytes(const uint8_t *line)
         }
     }
 
-    int bytes = fpcdPrefixBytes + (payload_bits + 7) / 8;
-    return std::min(64, bytes);
+    return fpcdBytesForPayload(payload_bits);
+}
+
+void
+fpcdLinesBytes(const uint8_t *lines, size_t count, int *out)
+{
+    size_t l = 0;
+    uint16_t bits[16];
+    for (; l + 16 <= count && simd::fpcdPayloadBits16(lines + l * 64, bits);
+         l += 16) {
+        for (int i = 0; i < 16; i++)
+            out[l + static_cast<size_t>(i)] = fpcdBytesForPayload(bits[i]);
+    }
+    for (; l < count; l++)
+        out[l] = fpcdLineBytes(lines + l * 64);
 }
 
 } // namespace zcomp

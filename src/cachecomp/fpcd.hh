@@ -15,6 +15,8 @@
 #ifndef ZCOMP_CACHECOMP_FPCD_HH
 #define ZCOMP_CACHECOMP_FPCD_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 namespace zcomp {
@@ -22,8 +24,23 @@ namespace zcomp {
 /** FPC-D compressed size of one 64-byte line, in bytes (<= 64). */
 int fpcdLineBytes(const uint8_t *line);
 
+/**
+ * fpcdLineBytes() of `count` consecutive 64-byte lines into out[0..
+ * count). Blocks of 16 lines go through simd::fpcdPayloadBits16()
+ * when the backend has it (one line per lane); the rest, and every
+ * line on other backends, through fpcdLineBytes(), the specification.
+ */
+void fpcdLinesBytes(const uint8_t *lines, size_t count, int *out);
+
 /** Fixed per-line metadata bytes (16 x 4-bit codes). */
 constexpr int fpcdPrefixBytes = 8;
+
+/** Line size for a payload of `bits`: prefix + payload bytes, <= 64. */
+constexpr int
+fpcdBytesForPayload(int bits)
+{
+    return std::min(64, fpcdPrefixBytes + (bits + 7) / 8);
+}
 
 /** Dictionary entries maintained while compressing a line. */
 constexpr int fpcdDictEntries = 2;

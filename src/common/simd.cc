@@ -281,14 +281,15 @@ compressEvenBits(uint32_t x)
     return x;
 }
 
-__attribute__((target(ZCOMP_AVX512_TARGET)))
-uint16_t
-fpcBitsLineAvx512(const uint8_t *line, uint8_t *bits)
+/**
+ * Payload bits of the best non-zero-run FPC class of each 32-bit lane
+ * (fpcClassify + fpcPayloadBits; a zero lane gets 4, its caller
+ * handles zeros).
+ */
+__attribute__((target(ZCOMP_AVX512_TARGET))) inline __m512i
+fpcClassBitsAvx512(__m512i w)
 {
-    const __m512i w = _mm512_loadu_si512(line);
     const __m512i zero = _mm512_setzero_si512();
-
-    const __mmask16 zeroMask = _mm512_cmpeq_epi32_mask(w, zero);
     // fitsSignExt(w, k): value in [-2^(k-1), 2^(k-1)-1], i.e.
     // (uint32)(w + 2^(k-1)) < 2^k.
     const __mmask16 se4 = _mm512_cmplt_epu32_mask(
@@ -325,8 +326,119 @@ fpcBitsLineAvx512(const uint8_t *line, uint8_t *bits)
     b = _mm512_mask_mov_epi32(b, se16, _mm512_set1_epi32(16));
     b = _mm512_mask_mov_epi32(b, se8, _mm512_set1_epi32(8));
     b = _mm512_mask_mov_epi32(b, se4, _mm512_set1_epi32(4));
-    _mm512_mask_cvtepi32_storeu_epi8(bits, 0xffff, b);
-    return static_cast<uint16_t>(zeroMask);
+    return b;
+}
+
+__attribute__((target(ZCOMP_AVX512_TARGET)))
+uint16_t
+fpcBitsLineAvx512(const uint8_t *line, uint8_t *bits)
+{
+    const __m512i w = _mm512_loadu_si512(line);
+    _mm512_mask_cvtepi32_storeu_epi8(bits, 0xffff, fpcClassBitsAvx512(w));
+    return static_cast<uint16_t>(_mm512_testn_epi32_mask(w, w));
+}
+
+__attribute__((target(ZCOMP_AVX512_TARGET)))
+int
+ebpcLineBitsAvx512(const uint8_t *line)
+{
+    const __m512i w = _mm512_loadu_si512(line);
+    const uint32_t nonzero = _mm512_test_epi32_mask(w, w);
+    const uint32_t zeros = ~nonzero & 0xffffu;
+    const int k = __builtin_popcount(nonzero);
+    // Nonzeros packed to lanes 0..k-1; lane i of `next` is packed[i+1],
+    // so lanes 0..k-2 of the XOR are the consecutive deltas (an empty
+    // mask for k < 2 leaves no plane populated).
+    const __m512i packed =
+        _mm512_maskz_compress_epi32(static_cast<__mmask16>(nonzero), w);
+    const __m512i next = _mm512_alignr_epi32(packed, packed, 1);
+    const __m512i delta = _mm512_maskz_xor_epi32(
+        static_cast<__mmask16>(((1u << k) - 1u) >> 1), packed, next);
+    const uint32_t planes =
+        static_cast<uint32_t>(_mm512_reduce_or_epi32(delta));
+    return 5 * __builtin_popcount(zeros & ~(zeros << 1)) + k +
+           32 * (k > 0) + 32 * (k > 1) +
+           __builtin_popcount(planes) * (k - 1);
+}
+
+/**
+ * Load 16 consecutive 64-byte lines transposed: col[w] lane i = 32-bit
+ * word w of line i. Four shuffle stages, 64 shuffles: on a 4-vCPU
+ * AVX-512 Xeon, limitCCRatio() sized ~68M lines/s this way against
+ * ~50M with one vpgatherdd per word.
+ */
+__attribute__((target(ZCOMP_AVX512_TARGET))) inline void
+loadTransposed16x16(const uint8_t *lines, __m512i *col)
+{
+    __m512i t[16], u[16];
+    for (int i = 0; i < 16; i++)
+        t[i] = _mm512_loadu_si512(lines + 64 * i);
+    for (int i = 0; i < 16; i += 2) {
+        u[i] = _mm512_unpacklo_epi32(t[i], t[i + 1]);
+        u[i + 1] = _mm512_unpackhi_epi32(t[i], t[i + 1]);
+    }
+    // Then t[4g + j], 128-bit block b, slot s = word 4b + j of line
+    // 4g + s.
+    for (int i = 0; i < 16; i += 4) {
+        t[i] = _mm512_unpacklo_epi64(u[i], u[i + 2]);
+        t[i + 1] = _mm512_unpackhi_epi64(u[i], u[i + 2]);
+        t[i + 2] = _mm512_unpacklo_epi64(u[i + 1], u[i + 3]);
+        t[i + 3] = _mm512_unpackhi_epi64(u[i + 1], u[i + 3]);
+    }
+    // Gather the blocks: 0x88 picks blocks 0 and 2 of each operand,
+    // 0xDD blocks 1 and 3.
+    for (int j = 0; j < 4; j++) {
+        u[j] = _mm512_shuffle_i32x4(t[j], t[4 + j], 0x88);
+        u[4 + j] = _mm512_shuffle_i32x4(t[j], t[4 + j], 0xDD);
+        u[8 + j] = _mm512_shuffle_i32x4(t[8 + j], t[12 + j], 0x88);
+        u[12 + j] = _mm512_shuffle_i32x4(t[8 + j], t[12 + j], 0xDD);
+    }
+    for (int j = 0; j < 4; j++) {
+        col[j] = _mm512_shuffle_i32x4(u[j], u[8 + j], 0x88);
+        col[8 + j] = _mm512_shuffle_i32x4(u[j], u[8 + j], 0xDD);
+        col[4 + j] = _mm512_shuffle_i32x4(u[4 + j], u[12 + j], 0x88);
+        col[12 + j] = _mm512_shuffle_i32x4(u[4 + j], u[12 + j], 0xDD);
+    }
+}
+
+__attribute__((target(ZCOMP_AVX512_TARGET)))
+void
+fpcdPayloadBits16Avx512(const uint8_t *lines, uint16_t *bits)
+{
+    // Lane i walks line i through its 16 words.
+    __m512i col[16];
+    loadTransposed16x16(lines, col);
+    __m512i older = _mm512_setzero_si512();
+    __m512i newer = _mm512_setzero_si512();
+    __mmask16 olderValid = 0, newerValid = 0;
+    __m512i acc = _mm512_setzero_si512();
+    for (int w = 0; w < 16; w++) {
+        const __m512i word = col[w];
+        const __mmask16 nonzero = _mm512_test_epi32_mask(word, word);
+        // Dictionary hits against the valid entries only: a full
+        // match costs the 1-bit index, a match of the upper 24 bits
+        // the index plus the low byte, anything else its FPC class.
+        const __mmask16 full =
+            _mm512_mask_cmpeq_epi32_mask(olderValid, word, older) |
+            _mm512_mask_cmpeq_epi32_mask(newerValid, word, newer);
+        const __m512i hi = _mm512_srli_epi32(word, 8);
+        const __mmask16 partial =
+            _mm512_mask_cmpeq_epi32_mask(olderValid, hi,
+                                         _mm512_srli_epi32(older, 8)) |
+            _mm512_mask_cmpeq_epi32_mask(newerValid, hi,
+                                         _mm512_srli_epi32(newer, 8));
+        __m512i b = fpcClassBitsAvx512(word);
+        b = _mm512_mask_mov_epi32(b, partial, _mm512_set1_epi32(9));
+        b = _mm512_mask_mov_epi32(b, full, _mm512_set1_epi32(1));
+        acc = _mm512_mask_add_epi32(acc, nonzero, acc, b);
+        // Every nonzero miss enters the FIFO, evicting the older entry.
+        const __mmask16 insert = nonzero & ~full;
+        older = _mm512_mask_mov_epi32(older, insert, newer);
+        newer = _mm512_mask_mov_epi32(newer, insert, word);
+        olderValid = (olderValid & ~insert) | (newerValid & insert);
+        newerValid |= insert;
+    }
+    _mm512_mask_cvtepi32_storeu_epi16(bits, 0xffff, acc);
 }
 
 __attribute__((target(ZCOMP_AVX512_TARGET)))
@@ -594,6 +706,34 @@ fpcBitsLine(const uint8_t *line, uint8_t *bits, uint16_t &zeroMask)
     }
 #else
     (void)line; (void)bits; (void)zeroMask;
+#endif
+    return false;
+}
+
+bool
+ebpcLineBits(const uint8_t *line, int &bits)
+{
+#if ZCOMP_SIMD_X86
+    if (activeBackend() == Backend::Avx512) {
+        bits = ebpcLineBitsAvx512(line);
+        return true;
+    }
+#else
+    (void)line; (void)bits;
+#endif
+    return false;
+}
+
+bool
+fpcdPayloadBits16(const uint8_t *lines, uint16_t *bits)
+{
+#if ZCOMP_SIMD_X86
+    if (activeBackend() == Backend::Avx512) {
+        fpcdPayloadBits16Avx512(lines, bits);
+        return true;
+    }
+#else
+    (void)lines; (void)bits;
 #endif
     return false;
 }

@@ -108,6 +108,22 @@ bool fpcBitsLine(const uint8_t *line, uint8_t *bits,
                  uint16_t &zeroMask);
 
 /**
+ * EBPC encoded size of one 64-byte line, in bits: the closed form of
+ * ebpcLineBits() in cachecomp/ebpc.cc (zero-run and keep-flag front
+ * end, verbatim first nonzero, popcount of the OR of consecutive
+ * nonzero deltas times k-1).
+ */
+bool ebpcLineBits(const uint8_t *line, int &bits);
+
+/**
+ * FPC-D payload bits (the 8-byte prefix excluded) of 16 consecutive
+ * 64-byte lines: bits[i] for the line at lines + 64*i, exactly what
+ * fpcdLineBytes() sums for it. One line per lane, each with its own
+ * two-entry FIFO dictionary, stepping through the 16 words.
+ */
+bool fpcdPayloadBits16(const uint8_t *lines, uint16_t *bits);
+
+/**
  * GEMM inner kernels. Both mirror the scalar loops bit-exactly:
  * separate IEEE multiply then add per lane (the build targets a
  * baseline ISA without FMA contraction), same accumulation order.

@@ -1,9 +1,11 @@
 /**
  * @file
  * Tests for FPC, FPC-D and the cache-compression architecture models
- * behind the Figure 15 comparison.
+ * behind the Figure 15 comparison, including the 16-line FPC-D block
+ * path against the per-line loops it batches, on every backend.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -13,6 +15,8 @@
 #include "cachecomp/fpc.hh"
 #include "cachecomp/fpcd.hh"
 #include "workload/snapshot.hh"
+
+#include "codec_lines.hh"
 
 using namespace zcomp;
 
@@ -39,6 +43,77 @@ snapshotBytes(size_t elems, double sparsity, uint64_t seed)
     std::vector<uint8_t> bytes(elems * 4);
     std::memcpy(bytes.data(), floats.data(), bytes.size());
     return bytes;
+}
+
+/*
+ * Oracles: FPC-D sizing one line at a time, as the cache models did
+ * before they sized lines in 16-line blocks. They use only the scalar
+ * FPC classifier and must not be "fixed" to match the code under test.
+ */
+
+int
+refFpcdLineBytes(const uint8_t *line)
+{
+    uint32_t dict[fpcdDictEntries] = {};
+    int dict_fill = 0;
+    int next_slot = 0;
+    int payload_bits = 0;
+    for (int w = 0; w < 16; w++) {
+        uint32_t word = 0;
+        std::memcpy(&word, line + w * 4, 4);
+        if (word == 0)
+            continue;
+        bool full = false, partial = false;
+        for (int d = 0; d < dict_fill; d++) {
+            if (dict[d] == word) {
+                full = true;
+                break;
+            }
+            if ((dict[d] >> 8) == (word >> 8))
+                partial = true;
+        }
+        if (full)
+            payload_bits += 1;
+        else if (partial)
+            payload_bits += 1 + 8;
+        else
+            payload_bits += fpcPayloadBits(fpcClassify(word));
+        if (!full) {
+            dict[next_slot] = word;
+            next_slot = (next_slot + 1) % fpcdDictEntries;
+            dict_fill = std::min(dict_fill + 1, fpcdDictEntries);
+        }
+    }
+    return std::min(64, fpcdPrefixBytes + (payload_bits + 7) / 8);
+}
+
+double
+refLimitCCRatio(const uint8_t *data, size_t bytes)
+{
+    uint64_t compressed = 0;
+    for (size_t off = 0; off < bytes; off += 64)
+        compressed += static_cast<uint64_t>(refFpcdLineBytes(data + off));
+    return static_cast<double>(bytes) / static_cast<double>(compressed);
+}
+
+double
+refTwoTagCCRatio(const uint8_t *data, size_t bytes, int sets)
+{
+    size_t lines = bytes / 64;
+    std::vector<int> pending(static_cast<size_t>(sets), -1);
+    uint64_t physical = 0;
+    for (size_t l = 0; l < lines; l++) {
+        int set = static_cast<int>(l % static_cast<size_t>(sets));
+        int sz = refFpcdLineBytes(data + l * 64);
+        int prev = pending[static_cast<size_t>(set)];
+        if (prev >= 0 && prev + sz <= 64) {
+            pending[static_cast<size_t>(set)] = -1;
+        } else {
+            physical++;
+            pending[static_cast<size_t>(set)] = sz;
+        }
+    }
+    return static_cast<double>(lines) / static_cast<double>(physical);
 }
 
 } // namespace
@@ -265,4 +340,68 @@ TEST(CacheModel, Geomean)
     EXPECT_DOUBLE_EQ(geomean({}), 1.0);
     EXPECT_DOUBLE_EQ(geomean({2.0, 2.0}), 2.0);
     EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-9);
+}
+
+// --- FPC-D block path vs the per-line loops, on every backend -------
+
+TEST(FpcDDiff, BlockSizesMatchPerLineLoop)
+{
+    using namespace codec_lines;
+    BackendGuard guard;
+    for (simd::Backend b : supportedBackends()) {
+        simd::setBackend(b);
+        uint64_t seed = 1;
+        for (Kind kind : allKinds) {
+            for (double sparsity : {0.0, 0.3, 0.5, 0.9, 1.0}) {
+                // 16 whole blocks plus a 5-line tail.
+                const size_t n = 16 * 16 + 5;
+                std::vector<uint8_t> lines =
+                    makeLines(n, kind, sparsity, seed++);
+                std::vector<int> sizes(n);
+                fpcdLinesBytes(lines.data(), n, sizes.data());
+                for (size_t l = 0; l < n; l++) {
+                    const uint8_t *line = lines.data() + l * 64;
+                    const int want = refFpcdLineBytes(line);
+                    ASSERT_EQ(sizes[l], want)
+                        << simd::backendName(b) << " " << kindName(kind)
+                        << " sparsity " << sparsity << " line " << l;
+                    ASSERT_EQ(fpcdLineBytes(line), want);
+                }
+            }
+        }
+    }
+}
+
+TEST(FpcDDiff, CacheModelsMatchPerLineLoopOverBlockTails)
+{
+    using namespace codec_lines;
+    BackendGuard guard;
+    for (simd::Backend b : supportedBackends()) {
+        simd::setBackend(b);
+        uint64_t seed = 100;
+        for (size_t n : {1, 15, 16, 17, 255, 257}) {
+            for (Kind kind : {Kind::Mixed, Kind::Repeated,
+                              Kind::SharedHigh}) {
+                // One byte of slack so the snapshot can also start
+                // off the line alignment.
+                std::vector<uint8_t> buf =
+                    makeLines(n + 1, kind, 0.5, seed++);
+                for (size_t shift : {size_t{0}, size_t{4}, size_t{1}}) {
+                    const uint8_t *data = buf.data() + shift;
+                    const size_t bytes = n * 64;
+                    EXPECT_EQ(limitCCRatio(data, bytes),
+                              refLimitCCRatio(data, bytes))
+                        << simd::backendName(b) << " " << kindName(kind)
+                        << " lines " << n << " shift " << shift;
+                    for (int sets : {64, 4, 1}) {
+                        EXPECT_EQ(twoTagCCRatio(data, bytes, sets),
+                                  refTwoTagCCRatio(data, bytes, sets))
+                            << simd::backendName(b) << " "
+                            << kindName(kind) << " lines " << n
+                            << " sets " << sets << " shift " << shift;
+                    }
+                }
+            }
+        }
+    }
 }

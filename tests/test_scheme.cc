@@ -1,14 +1,16 @@
 /**
  * @file
  * Unit tests for the CompressionScheme list and the Figure 15
- * comparators: hand-computed EBPC/ZVC golden encodings, list order
- * and lookup misses, the 64-byte per-line clamp on
- * incompressible data, and the typed DecodeError on misaligned
+ * comparators: hand-computed EBPC/ZVC golden encodings, the EBPC
+ * closed form against the plane-by-plane scan it replaced on every
+ * backend, list order and lookup misses, the 64-byte per-line clamp
+ * on incompressible data, and the typed DecodeError on misaligned
  * snapshots.
  */
 
 #include "cachecomp/scheme.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -20,6 +22,8 @@
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "sim/network_sim.hh"
+
+#include "codec_lines.hh"
 
 using namespace zcomp;
 
@@ -86,6 +90,50 @@ randomSnapshot(size_t lines, uint64_t seed)
     return snap;
 }
 
+/**
+ * EBPC bits of one line the way the codec model first computed them:
+ * a zero-runlength walk, then a scan of all 32 delta planes over the
+ * k-1 deltas. The oracle for ebpcLineBits(); it must not be "fixed"
+ * to match it.
+ */
+int
+refEbpcLineBits(const uint8_t *line)
+{
+    uint32_t words[16];
+    std::memcpy(words, line, 64);
+    uint32_t nonzeros[16];
+    int k = 0;
+    int bits = 0;
+    for (int w = 0; w < 16;) {
+        if (words[w] == 0) {
+            while (w < 16 && words[w] == 0)
+                w++;
+            bits += 5;
+        } else {
+            bits += 1;
+            nonzeros[k++] = words[w];
+            w++;
+        }
+    }
+    if (k > 0) {
+        bits += 32;
+        if (k > 1) {
+            for (int plane = 0; plane < 32; plane++) {
+                bool populated = false;
+                for (int i = 1; i < k; i++) {
+                    uint32_t delta = nonzeros[i] ^ nonzeros[i - 1];
+                    if ((delta >> plane) & 1) {
+                        populated = true;
+                        break;
+                    }
+                }
+                bits += populated ? 1 + (k - 1) : 1;
+            }
+        }
+    }
+    return bits;
+}
+
 } // namespace
 
 // --- EBPC golden values (derivations in cachecomp/ebpc.hh) ---------
@@ -114,6 +162,67 @@ TEST(Ebpc, ClampsIncompressibleLine)
     // Full-entropy nonzeros populate every delta plane: 16 flags +
     // 32 + 32 * (1 + 15) bits >> 64 bytes, clamped to the line.
     EXPECT_EQ(ebpcLineBytes(randomDenseLine(7).data()), 64);
+}
+
+// --- EBPC closed form vs the plane scan, on every backend ----------
+
+TEST(EbpcDiff, ClosedFormMatchesPlaneScan)
+{
+    using namespace codec_lines;
+    BackendGuard guard;
+    for (simd::Backend b : supportedBackends()) {
+        simd::setBackend(b);
+        uint64_t seed = 1;
+        for (Kind kind : allKinds) {
+            for (double sparsity : {0.0, 0.3, 0.5, 0.9, 1.0}) {
+                std::vector<uint8_t> lines =
+                    makeLines(256, kind, sparsity, seed++);
+                for (size_t off = 0; off < lines.size(); off += 64) {
+                    const uint8_t *line = lines.data() + off;
+                    const int want = refEbpcLineBits(line);
+                    ASSERT_EQ(ebpcLineBits(line), want)
+                        << simd::backendName(b) << " " << kindName(kind)
+                        << " sparsity " << sparsity << " line "
+                        << off / 64;
+                    ASSERT_EQ(ebpcLineBytes(line),
+                              std::min(64, (want + 7) / 8));
+                }
+            }
+        }
+    }
+}
+
+TEST(EbpcDiff, EveryZeroPatternMatchesPlaneScan)
+{
+    // All 2^16 zero-word masks: every run structure and every nonzero
+    // count k, including k = 0, 1 and 16. Nonzeros alternate between
+    // random words and repeats of the previous one (empty deltas).
+    using namespace codec_lines;
+    BackendGuard guard;
+    Rng rng(97);
+    std::vector<uint8_t> lines(size_t{1} << 22);
+    for (uint32_t mask = 0; mask < (1u << 16); mask++) {
+        uint32_t prev = 1;
+        for (int w = 0; w < 16; w++) {
+            uint32_t word = 0;
+            if ((mask >> w) & 1) {
+                word = rng.chance(0.3) ? prev
+                                       : static_cast<uint32_t>(
+                                             rng.next64()) | 1u;
+                prev = word;
+            }
+            std::memcpy(lines.data() + mask * 64 + w * 4, &word, 4);
+        }
+    }
+    for (simd::Backend b : supportedBackends()) {
+        simd::setBackend(b);
+        for (uint32_t mask = 0; mask < (1u << 16); mask++) {
+            const uint8_t *line = lines.data() + mask * 64;
+            ASSERT_EQ(ebpcLineBits(line), refEbpcLineBits(line))
+                << simd::backendName(b) << " nonzero mask 0x" << std::hex
+                << mask;
+        }
+    }
 }
 
 // --- ZVC golden values (derivation in cachecomp/zvc.hh) ------------

@@ -21,20 +21,13 @@
 #include "isa/vec.hh"
 #include "isa/zcomp_isa.hh"
 
+#include "codec_lines.hh"
+
 using namespace zcomp;
 
 namespace {
 
-/** Restore the entry backend after each test body. */
-class BackendGuard
-{
-  public:
-    BackendGuard() : saved_(simd::activeBackend()) {}
-    ~BackendGuard() { simd::setBackend(saved_); }
-
-  private:
-    simd::Backend saved_;
-};
+using codec_lines::BackendGuard;
 
 /** The non-scalar backends this host can actually run. */
 std::vector<simd::Backend>
@@ -157,6 +150,11 @@ TEST(SimdDispatch, ScalarBackendHandlesNothing)
     EXPECT_FALSE(simd::packLanes(buf, 4, 0xFFFF, buf));
     EXPECT_FALSE(simd::unpackLanes(buf, 4, 0xFFFF, buf));
     EXPECT_FALSE(simd::fpcBitsLine(buf, bits, zm));
+    int ebpc_bits;
+    uint16_t fpcd_bits[16];
+    std::vector<uint8_t> lines(16 * 64, 0);
+    EXPECT_FALSE(simd::ebpcLineBits(buf, ebpc_bits));
+    EXPECT_FALSE(simd::fpcdPayloadBits16(lines.data(), fpcd_bits));
     EXPECT_FALSE(simd::axpyF32(1.0f, f, f, 16));
     EXPECT_FALSE(simd::dotPanel16F32(f, f, 0, f));
 }

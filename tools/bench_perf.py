@@ -32,6 +32,7 @@ SCHEMA = "zcomp-bench-perf-v1"
 MICRO_METRICS = {
     "vecRoundTripsPerSec": "rate",
     "fpcLinesPerSec": "rate",
+    "fpcdLinesPerSec": "rate",
     "ebpcLinesPerSec": "rate",
     "zvcLinesPerSec": "rate",
     "gemmMacsPerSec": "rate",

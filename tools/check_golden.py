@@ -29,7 +29,8 @@ it writes, with a committed golden file:
   bench_ablation_dtypes.txt     header amortization per element type
   bench_fig15_cache_comp_smoke.txt
                                 every registered compression scheme on
-                                synthetic snapshots (--smoke)
+                                synthetic snapshots (--smoke), under
+                                ZCOMP_SIMD=scalar and auto
 
 bench_smoke's trailing "wall ms" column is host time, so its stdout is
 compared with trailing digits stripped from every line (the same
@@ -145,10 +146,13 @@ def runs(tmp):
     out.append(("bench_ablation_parallel",
                 ["bench_ablation_parallel", "--jobs", "1"], None,
                 [("bench_ablation_parallel.txt", same)]))
-    for argv in (["bench_instruction_overhead"], ["bench_ablation_dtypes"],
-                 ["bench_fig15_cache_comp", "--smoke"]):
+    for argv in (["bench_instruction_overhead"], ["bench_ablation_dtypes"]):
         golden = "_".join(a.lstrip("-") for a in argv) + ".txt"
         out.append((" ".join(argv), argv, None, [(golden, same)]))
+    for simd in ("scalar", "auto"):
+        out.append((f"bench_fig15_cache_comp --smoke ZCOMP_SIMD={simd}",
+                    ["bench_fig15_cache_comp", "--smoke"], simd,
+                    [("bench_fig15_cache_comp_smoke.txt", same)]))
     return out
 
 

@@ -18,6 +18,12 @@
  * expanded vectors, NNZ counts - is a bug and fails the run with a
  * seed/round reproducer.
  *
+ * Under --backend both, each round also sizes a random snapshot of
+ * 1-40 lines through every compression scheme's snapshotRatio() under
+ * the scalar and the native backend and fails on any difference: the
+ * Figure 15 codecs (the EBPC closed form, the 16-line FPC-D block
+ * kernel) must be backend-independent too.
+ *
  * Each round then injects stream corruption (truncation and header
  * bitflips, constrained to classes a self-describing stream can
  * provably detect - see corruptAndDecode()) and asserts the decoder
@@ -48,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "cachecomp/scheme.hh"
 #include "common/error.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -330,6 +337,59 @@ checkStreams(const RoundCfg &cfg, const std::vector<Vec512> &input,
 }
 
 /**
+ * Scheme differential: one snapshot sized through every scheme under
+ * each backend; the ratios must be equal as doubles. Words are zero
+ * with the round's sparsity, else random, a repeat of the previous
+ * nonzero, the previous one's upper 24 bits with a new low byte, or a
+ * small sign-extended integer - the FPC-D dictionary and significance
+ * paths. Line counts straddle the 16-line FPC-D blocks.
+ */
+void
+checkSchemes(const RoundCfg &cfg, const std::vector<simd::Backend> &backends,
+             Rng &rng)
+{
+    const size_t lines = 1 + rng.below(40);
+    std::vector<uint8_t> snap(lines * 64);
+    uint32_t prev = 1;
+    for (size_t w = 0; w < lines * 16; w++) {
+        uint32_t word = 0;
+        if (!rng.chance(cfg.sparsity)) {
+            switch (rng.below(4)) {
+              case 0:
+                word = prev;
+                break;
+              case 1:
+                word = (prev & 0xFFFFFF00u) |
+                       static_cast<uint32_t>(rng.below(256));
+                break;
+              case 2:
+                word = static_cast<uint32_t>(rng.below(1 << 17)) -
+                       (1u << 16);
+                break;
+              default:
+                word = static_cast<uint32_t>(rng.next64());
+                break;
+            }
+            prev = word ? word : prev;
+        }
+        std::memcpy(snap.data() + w * 4, &word, 4);
+    }
+    for (const CompressionScheme *s : allSchemes()) {
+        simd::setBackend(backends[0]);
+        const double want = s->snapshotRatio(snap.data(), snap.size());
+        for (size_t b = 1; b < backends.size(); b++) {
+            simd::setBackend(backends[b]);
+            const double got = s->snapshotRatio(snap.data(), snap.size());
+            if (got != want)
+                fail(cfg, "scheme %s ratio %.17g under %s != %.17g under "
+                     "%s (%zu lines)", s->name(), got,
+                     simd::backendName(backends[b]), want,
+                     simd::backendName(backends[0]), lines);
+        }
+    }
+}
+
+/**
  * Corruption oracle: corrupt one copy of the reference stream, decode
  * it to the end, and require a DecodeError.
  *
@@ -494,6 +554,7 @@ main(int argc, char **argv)
                                         0.62, 0.8, 0.95, 1.0};
     uint64_t vec_round_trips = 0;
     uint64_t corruptions = 0;
+    uint64_t scheme_snapshots = 0;
     for (gRound = 0;; gRound++) {
         if (rounds > 0 && gRound >= rounds)
             break;
@@ -519,6 +580,10 @@ main(int argc, char **argv)
         }
         vec_round_trips +=
             static_cast<uint64_t>(cfg.nvec) * backends.size();
+        if (backends.size() > 1) {
+            checkSchemes(cfg, backends, rng);
+            scheme_snapshots++;
+        }
 
         // Corruption trials alternate the active backend so the
         // decode-validation path is fuzzed under each one.
@@ -537,10 +602,12 @@ main(int argc, char **argv)
     }
 
     std::printf("zcomp_fuzz OK: %llu rounds, %llu vector round-trips "
-                "clean, %llu/%llu injected corruptions detected "
+                "clean, %llu scheme snapshots backend-identical, "
+                "%llu/%llu injected corruptions detected "
                 "(%.1f s, seed %llu)\n",
                 (unsigned long long)gRound,
                 (unsigned long long)vec_round_trips,
+                (unsigned long long)scheme_snapshots,
                 (unsigned long long)corruptions,
                 (unsigned long long)corruptions, elapsed(),
                 (unsigned long long)gSeed);
