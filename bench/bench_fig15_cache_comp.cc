@@ -27,6 +27,9 @@
  *              full Figure 14 simulation - a common yardstick for
  *              schemes that have no timing-model dispatch.
  *
+ * --report PATH writes one row per (network, snapshot, scheme) with
+ * the full-precision ratio.
+ *
  * --smoke swaps the workload snapshots for small synthetic
  * activation buffers and asserts every listed scheme appears
  * exactly once in the summary (the tier-1 ctest hook).
@@ -39,6 +42,7 @@
 #include "bench/bench_common.hh"
 #include "cachecomp/cache_model.hh"
 #include "cachecomp/scheme.hh"
+#include "common/report.hh"
 #include "common/table.hh"
 #include "workload/snapshot.hh"
 
@@ -134,16 +138,28 @@ main(int argc, char **argv)
 
     std::vector<std::vector<double>> all(schemes.size());
     uint64_t smoke_seed = 900;
+    RunReport *report = RunReport::global();
     for (const auto &m : bench::studyModels()) {
         auto snaps = smoke ? syntheticSnapshots(smoke_seed += 10)
                            : snapshotsOf(m);
         std::vector<std::vector<double>> per(schemes.size());
-        for (const auto &snap : snaps) {
+        for (size_t sn = 0; sn < snaps.size(); sn++) {
+            const std::vector<uint8_t> &snap = snaps[sn];
             for (size_t si = 0; si < schemes.size(); si++) {
                 double r = schemes[si]->snapshotRatio(snap.data(),
                                                       snap.size());
                 per[si].push_back(r);
                 all[si].push_back(r);
+                if (report) {
+                    // The unrounded ratio, so two runs' reports
+                    // differ wherever any ratio does.
+                    Json row = Json::object();
+                    row["network"] = modelName(m.id);
+                    row["snapshot"] = static_cast<int>(sn);
+                    row["scheme"] = schemes[si]->name();
+                    row["ratio"] = r;
+                    report->addRow(std::move(row));
+                }
             }
         }
         std::vector<std::string> cells{modelName(m.id)};

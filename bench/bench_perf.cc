@@ -3,9 +3,9 @@
  * bench_perf - the simulator's performance-regression trajectory.
  *
  * Runs a pinned micro-kernel set (ZCOMP vector round-trips, FPC,
- * FPC-D, EBPC and ZVC line sizing, GEMM) and a pinned Figure 13/14
- * study subset under every available SIMD backend in one process,
- * and writes a BENCH_<date>.json snapshot: throughput rates,
+ * FPC-D, EBPC, ZVC and zero-value snapshot sizing, GEMM) and a pinned
+ * Figure 13/14 study subset under every available SIMD backend in one
+ * process, and writes a BENCH_<date>.json snapshot: throughput rates,
  * wall-clock per figure subset, peak RSS, git sha and backend names.
  * CI compares a fresh snapshot against the committed baseline with
  * tools/bench_perf.py and fails on >5% regressions (see
@@ -35,6 +35,7 @@
 #include "cachecomp/ebpc.hh"
 #include "cachecomp/fpc.hh"
 #include "cachecomp/fpcd.hh"
+#include "cachecomp/scheme.hh"
 #include "cachecomp/zvc.hh"
 #include "common/json.hh"
 #include "common/log.hh"
@@ -132,6 +133,26 @@ microFpcdLines(bool quick)
         sink += limitCCRatio(bytes, lines * 64);
     double sec = secSince(t0);
     fatal_if(sink == 0, "bench_perf fpcd sink is zero");
+    return static_cast<double>(lines) * iters / sec;
+}
+
+/** Zero-value sizing through the zcomp scheme's snapshotRatio() (one
+ *  nonzero-word histogram pass), in lines/sec. */
+double
+microZeroLines(bool quick)
+{
+    const size_t lines = quick ? (size_t{1} << 14) : (size_t{1} << 16);
+    const int iters = quick ? 16 : 64;
+    std::vector<float> pat = sparsePattern(lines * 16);
+    const uint8_t *bytes = reinterpret_cast<const uint8_t *>(pat.data());
+    const CompressionScheme *zcomp = schemeByName("zcomp");
+
+    Clock::time_point t0 = Clock::now();
+    double sink = 0;
+    for (int it = 0; it < iters; it++)
+        sink += zcomp->snapshotRatio(bytes, lines * 64);
+    double sec = secSince(t0);
+    fatal_if(sink == 0, "bench_perf zero-value sink is zero");
     return static_cast<double>(lines) * iters / sec;
 }
 
@@ -268,6 +289,7 @@ main(int argc, char **argv)
         micro["fpcdLinesPerSec"] = microFpcdLines(quick);
         micro["ebpcLinesPerSec"] = microSchemeLines(ebpcLineBytes, quick);
         micro["zvcLinesPerSec"] = microSchemeLines(zvcLineBytes, quick);
+        micro["zeroLinesPerSec"] = microZeroLines(quick);
         micro["gemmMacsPerSec"] = microGemm(quick);
         Json fig = figureSubset(quick);
 

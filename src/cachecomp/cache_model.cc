@@ -50,13 +50,7 @@ forEachStoredFpcdLine(const uint8_t *data, size_t lines, F &&f)
 double
 zcompSnapshotRatio(const uint8_t *data, size_t bytes)
 {
-    checkSnapshotAligned(bytes);
-    if (bytes == 0)
-        return 1.0;
-    uint64_t compressed = 0;
-    for (size_t off = 0; off < bytes; off += 64)
-        compressed += static_cast<uint64_t>(zcompLineBytes(data + off));
-    return static_cast<double>(bytes) / static_cast<double>(compressed);
+    return schemeByName("zcomp")->snapshotRatio(data, bytes);
 }
 
 double

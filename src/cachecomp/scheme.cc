@@ -1,12 +1,12 @@
 #include "cachecomp/scheme.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "cachecomp/cache_model.hh"
 #include "cachecomp/ebpc.hh"
 #include "cachecomp/zvc.hh"
 #include "common/error.hh"
+#include "common/simd.hh"
 #include "isa/dtype.hh"
 
 namespace zcomp {
@@ -21,15 +21,21 @@ class UncompressedScheme : public CompressionScheme
     {
         return schemeLineBytes;
     }
+    // Every line is stored whole, so no pass over the data is needed.
+    double snapshotRatio(const uint8_t *, size_t bytes) const override
+    {
+        checkSnapshotAligned(bytes);
+        return 1.0;
+    }
 };
 
-class Avx512CompScheme : public CompressionScheme
+class Avx512CompScheme : public ZeroValueScheme
 {
   public:
     const char *name() const override { return "avx512-comp"; }
-    int lineBytes(const uint8_t *line) const override
+    int bytesForNonzeros(int nnz) const override
     {
-        return zcompLineBytes(line);
+        return zcompBytesForNonzeros(nnz);
     }
     // Software compress/expand around every vector: mask compute +
     // vcompressstoreu + mask-array store on the way out, mask load +
@@ -39,13 +45,13 @@ class Avx512CompScheme : public CompressionScheme
     double unpackCyclesPerLine() const override { return 3; }
 };
 
-class ZcompScheme : public CompressionScheme
+class ZcompScheme : public ZeroValueScheme
 {
   public:
     const char *name() const override { return "zcomp"; }
-    int lineBytes(const uint8_t *line) const override
+    int bytesForNonzeros(int nnz) const override
     {
-        return zcompLineBytes(line);
+        return zcompBytesForNonzeros(nnz);
     }
     // zcomps/zcompl do the header bookkeeping in hardware; ReLU
     // stores fuse the LTEZ compare, leaving ~one extra uop per
@@ -56,15 +62,28 @@ class ZcompScheme : public CompressionScheme
 
 } // namespace
 
-int
-zcompLineBytes(const uint8_t *line)
+double
+ZeroValueScheme::snapshotRatio(const uint8_t *data, size_t bytes) const
 {
-    int nnz = 0;
-    for (int w = 0; w < schemeLineWords; w++) {
-        uint32_t word = 0;
-        std::memcpy(&word, line + w * 4, 4);
-        nnz += word != 0;
+    checkSnapshotAligned(bytes);
+    if (bytes == 0)
+        return 1.0;
+    const size_t lines = bytes / schemeLineBytes;
+    uint64_t hist[schemeLineWords + 1] = {};
+    if (!simd::nonzeroWordHistogram(data, lines, hist)) {
+        for (size_t l = 0; l < lines; l++)
+            hist[lineNonzeroWords(data + l * schemeLineBytes)]++;
     }
+    uint64_t compressed = 0;
+    for (int k = 0; k <= schemeLineWords; k++)
+        compressed += hist[k] * static_cast<uint64_t>(bytesForNonzeros(k));
+    return static_cast<double>(bytes) /
+           static_cast<double>(compressed);
+}
+
+int
+zcompBytesForNonzeros(int nnz)
+{
     return std::min(schemeLineBytes,
                     headerBytes(ElemType::F32) + nnz * 4);
 }

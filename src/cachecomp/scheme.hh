@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -85,12 +86,50 @@ const std::vector<const CompressionScheme *> &allSchemes();
  */
 void checkSnapshotAligned(size_t bytes);
 
-/** ZCOMP compressed size of one 64-byte line: a 2-byte interleaved
- *  header per 16-lane vector plus the packed nonzero words, clamped
- *  to the physical line. Shared by the zcomp and avx512-comp schemes
- *  (the avx512-comp mask array has the same 2-byte-per-vector
- *  footprint, just stored out of line). */
-int zcompLineBytes(const uint8_t *line);
+/** Nonzero 32-bit words of one 64-byte line, in [0, 16]. */
+inline int
+lineNonzeroWords(const uint8_t *line)
+{
+    int nnz = 0;
+    for (int w = 0; w < schemeLineWords; w++) {
+        uint32_t word = 0;
+        std::memcpy(&word, line + w * 4, 4);
+        nnz += word != 0;
+    }
+    return nnz;
+}
+
+/**
+ * A scheme whose line size depends only on the line's nonzero word
+ * count: avx512-comp, zcomp and zvc. lineBytes() is
+ * bytesForNonzeros(lineNonzeroWords(line)). snapshotRatio() makes one
+ * pass that counts lines per nonzero count (simd::nonzeroWordHistogram,
+ * lineNonzeroWords() as its scalar path) and sums
+ * hist[k] * bytesForNonzeros(k): the same integer the per-line sum
+ * reaches, so the ratio is identical.
+ */
+class ZeroValueScheme : public CompressionScheme
+{
+  public:
+    /** Compressed bytes of a line with `nnz` nonzero words, in
+     *  [1, 64]. */
+    virtual int bytesForNonzeros(int nnz) const = 0;
+
+    int lineBytes(const uint8_t *line) const final
+    {
+        return bytesForNonzeros(lineNonzeroWords(line));
+    }
+
+    double snapshotRatio(const uint8_t *data,
+                         size_t bytes) const final;
+};
+
+/** ZCOMP compressed size of a line with `nnz` nonzero words: a 2-byte
+ *  interleaved header per 16-lane vector plus the packed nonzero
+ *  words, clamped to the physical line. Shared by the zcomp and
+ *  avx512-comp schemes (the avx512-comp mask array has the same
+ *  2-byte-per-vector footprint, just stored out of line). */
+int zcompBytesForNonzeros(int nnz);
 
 } // namespace zcomp
 

@@ -1,35 +1,34 @@
 #include "cachecomp/zvc.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "cachecomp/scheme.hh"
 
 namespace zcomp {
 
 int
-zvcLineBytes(const uint8_t *line)
+zvcBytesForNonzeros(int nnz)
 {
-    int nnz = 0;
-    for (int w = 0; w < schemeLineWords; w++) {
-        uint32_t word = 0;
-        std::memcpy(&word, line + w * 4, 4);
-        nnz += word != 0;
-    }
     int raw = 2 + nnz * 4;
     int padded = (raw + zvcBeatBytes - 1) / zvcBeatBytes * zvcBeatBytes;
     return std::min(schemeLineBytes, padded);
 }
 
+int
+zvcLineBytes(const uint8_t *line)
+{
+    return zvcBytesForNonzeros(lineNonzeroWords(line));
+}
+
 namespace {
 
-class ZvcScheme : public CompressionScheme
+class ZvcScheme : public ZeroValueScheme
 {
   public:
     const char *name() const override { return "zvc"; }
-    int lineBytes(const uint8_t *line) const override
+    int bytesForNonzeros(int nnz) const override
     {
-        return zvcLineBytes(line);
+        return zvcBytesForNonzeros(nnz);
     }
     // The DMA engine compresses off the core's critical path; the
     // residual cost is the mask lookup when the burst is reassembled.

@@ -27,7 +27,11 @@ namespace zcomp {
 /** DMA burst beat the compressed payload is padded to. */
 constexpr int zvcBeatBytes = 8;
 
-/** ZVC compressed size of one 64-byte line, in bytes (<= 64). */
+/** ZVC compressed size of a line with `nnz` nonzero words, in bytes
+ *  (<= 64). */
+int zvcBytesForNonzeros(int nnz);
+
+/** zvcBytesForNonzeros() of one 64-byte line. */
 int zvcLineBytes(const uint8_t *line);
 
 class CompressionScheme;

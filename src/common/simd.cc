@@ -10,7 +10,9 @@
  *  - laneHeader: laneKept() tests raw lane bits: EQZ keeps raw != 0
  *    (integer test), LTEZ keeps raw != 0 && sign-bit clear, which for
  *    an N-bit lane is exactly the signed integer compare lane > 0.
- *  - pack/unpack: exact byte moves; no lane is reinterpreted as FP.
+ *  - pack/unpack and the stream kernels: exact byte moves; no lane is
+ *    reinterpreted as FP. The stream kernels use laneHeader's two
+ *    compares.
  *  - axpyF32/dotPanel16F32: the build's baseline ISA has no FMA, so
  *    scalar code compiles to separate multiply + add; the kernels use
  *    separate _mm*_mul_ps / _mm*_add_ps in the same operand order and
@@ -441,6 +443,81 @@ fpcdPayloadBits16Avx512(const uint8_t *lines, uint16_t *bits)
     _mm512_mask_cvtepi32_storeu_epi16(bits, 0xffff, acc);
 }
 
+/**
+ * The interleaved 16x32-bit zcomp stream, one loop each way. Compress:
+ * keep mask (`vptestmd`, or `vpcmpgtd` for LTEZ), 2-byte header,
+ * `vpcompressd` into a register and a store masked to the kept lanes,
+ * so nothing past the payload is written. Expand: header load, both
+ * truncation checks, `vpexpandd` from memory (it reads only the kept
+ * lanes), full store. Both return false at the first vector that does
+ * not fit `capacity`; the caller re-runs its reference loop.
+ */
+__attribute__((target(ZCOMP_AVX512_TARGET)))
+bool
+compressStream32Avx512(const uint8_t *src, size_t vectors,
+                       bool dropNonPositive, uint8_t *dst, size_t capacity,
+                       uint64_t &nnz)
+{
+    const __m512i zero = _mm512_setzero_si512();
+    size_t off = 0;
+    uint64_t kept = 0;
+    for (size_t v = 0; v < vectors; v++) {
+        const __m512i x = _mm512_loadu_si512(src + 64 * v);
+        const __mmask16 keep = dropNonPositive
+            ? _mm512_cmpgt_epi32_mask(x, zero)
+            : _mm512_test_epi32_mask(x, x);
+        const unsigned k = static_cast<unsigned>(__builtin_popcount(keep));
+        if (off + 2 + 4 * k > capacity)
+            return false;
+        const uint16_t header = keep;
+        std::memcpy(dst + off, &header, 2);
+        _mm512_mask_storeu_epi32(dst + off + 2,
+                                 static_cast<__mmask16>((1u << k) - 1u),
+                                 _mm512_maskz_compress_epi32(keep, x));
+        off += 2 + 4 * k;
+        kept += k;
+    }
+    nnz = kept;
+    return true;
+}
+
+__attribute__((target(ZCOMP_AVX512_TARGET)))
+bool
+expandStream32Avx512(const uint8_t *src, size_t capacity, size_t vectors,
+                     uint8_t *dst, uint64_t &nnz)
+{
+    size_t off = 0;
+    uint64_t kept = 0;
+    for (size_t v = 0; v < vectors; v++) {
+        if (off + 2 > capacity)
+            return false;
+        uint16_t header;
+        std::memcpy(&header, src + off, 2);
+        const unsigned k = static_cast<unsigned>(__builtin_popcount(header));
+        if (off + 2 + 4 * k > capacity)
+            return false;
+        _mm512_storeu_si512(dst + 64 * v,
+                            _mm512_maskz_expandloadu_epi32(header,
+                                                           src + off + 2));
+        off += 2 + 4 * k;
+        kept += k;
+    }
+    nnz = kept;
+    return true;
+}
+
+/** hist[k] += lines with k nonzero words: `vptestmd`, popcount. */
+__attribute__((target(ZCOMP_AVX512_TARGET)))
+void
+nonzeroWordHistogramAvx512(const uint8_t *data, size_t lines,
+                           uint64_t *hist)
+{
+    for (size_t l = 0; l < lines; l++) {
+        const __m512i x = _mm512_loadu_si512(data + 64 * l);
+        hist[__builtin_popcount(_mm512_test_epi32_mask(x, x))]++;
+    }
+}
+
 __attribute__((target(ZCOMP_AVX512_TARGET)))
 void
 axpyF32Avx512(float av, const float *b, float *c, size_t n)
@@ -734,6 +811,48 @@ fpcdPayloadBits16(const uint8_t *lines, uint16_t *bits)
     }
 #else
     (void)lines; (void)bits;
+#endif
+    return false;
+}
+
+bool
+compressStream32(const uint8_t *src, size_t vectors, bool dropNonPositive,
+                 uint8_t *dst, size_t capacity, uint64_t &nnz)
+{
+#if ZCOMP_SIMD_X86
+    if (activeBackend() == Backend::Avx512)
+        return compressStream32Avx512(src, vectors, dropNonPositive, dst,
+                                      capacity, nnz);
+#else
+    (void)src; (void)vectors; (void)dropNonPositive; (void)dst;
+    (void)capacity; (void)nnz;
+#endif
+    return false;
+}
+
+bool
+expandStream32(const uint8_t *src, size_t capacity, size_t vectors,
+               uint8_t *dst, uint64_t &nnz)
+{
+#if ZCOMP_SIMD_X86
+    if (activeBackend() == Backend::Avx512)
+        return expandStream32Avx512(src, capacity, vectors, dst, nnz);
+#else
+    (void)src; (void)capacity; (void)vectors; (void)dst; (void)nnz;
+#endif
+    return false;
+}
+
+bool
+nonzeroWordHistogram(const uint8_t *data, size_t lines, uint64_t *hist)
+{
+#if ZCOMP_SIMD_X86
+    if (activeBackend() == Backend::Avx512) {
+        nonzeroWordHistogramAvx512(data, lines, hist);
+        return true;
+    }
+#else
+    (void)data; (void)lines; (void)hist;
 #endif
     return false;
 }

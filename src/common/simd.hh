@@ -13,7 +13,9 @@
  *    sentinel) meaning "handled"; when the active backend has no
  *    vector path for the request, the caller runs its scalar loop.
  *    This keeps exactly one authoritative scalar implementation: the
- *    pre-existing code in the caller.
+ *    pre-existing code in the caller. The whole-buffer stream kernels
+ *    also decline an input the caller must reject (an overflow, a
+ *    truncated stream), so that its loop raises the error.
  *
  * Backend selection:
  *  - The active backend resolves once from the ZCOMP_SIMD environment
@@ -122,6 +124,41 @@ bool ebpcLineBits(const uint8_t *line, int &bits);
  * two-entry FIFO dictionary, stepping through the 16 words.
  */
 bool fpcdPayloadBits16(const uint8_t *lines, uint16_t *bits);
+
+/**
+ * Compress `vectors` consecutive 64-byte vectors of 16 32-bit lanes
+ * from src into one interleaved zcomp stream at dst: per vector the
+ * 2-byte little-endian laneHeader() mask, then the kept lanes packed
+ * as packLanes() packs them; nothing past the stream is written.
+ * `nnz` gets the kept lanes, so the stream is 2 * vectors + 4 * nnz
+ * bytes. Also returns false when a vector would not fit `capacity`;
+ * the bytes before it are then written, and the caller's
+ * CompressedWriter loop, the specification, must run (it raises the
+ * overflow).
+ */
+bool compressStream32(const uint8_t *src, size_t vectors,
+                      bool dropNonPositive, uint8_t *dst, size_t capacity,
+                      uint64_t &nnz);
+
+/**
+ * Expand `vectors` vectors of an interleaved 16x32-bit zcomp stream
+ * of `capacity` bytes into dst (64 bytes per vector, dropped lanes
+ * zero), reading no byte past the stream. `nnz` gets the kept lanes.
+ * Also returns false when the stream ends inside a header or a
+ * payload; the vectors before it are then written, and the caller's
+ * CompressedReader loop, the specification, must run (it raises the
+ * DecodeError).
+ */
+bool expandStream32(const uint8_t *src, size_t capacity, size_t vectors,
+                    uint8_t *dst, uint64_t &nnz);
+
+/**
+ * hist[k] += the number of the `lines` consecutive 64-byte lines at
+ * data with exactly k nonzero 32-bit words, k in [0, 16] (hist has 17
+ * entries).
+ */
+bool nonzeroWordHistogram(const uint8_t *data, size_t lines,
+                          uint64_t *hist);
 
 /**
  * GEMM inner kernels. Both mirror the scalar loops bit-exactly:

@@ -6,6 +6,7 @@
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/log.hh"
+#include "common/simd.hh"
 
 namespace zcomp {
 
@@ -237,11 +238,35 @@ CompressedReader::finish() const
     }
 }
 
+namespace {
+
+/** Stats of an interleaved F32 stream of `vectors` vectors. */
+StreamStats
+wholeStreamStats(uint64_t vectors, uint64_t nnz)
+{
+    StreamStats s;
+    s.vectors = vectors;
+    s.nnz = nnz;
+    s.payloadBytes = nnz * 4;
+    s.headerBytes = vectors * static_cast<uint64_t>(
+                                  headerBytes(ElemType::F32));
+    return s;
+}
+
+} // namespace
+
 StreamStats
 compressBufferPs(const float *src, size_t n, uint8_t *dst,
                  size_t dst_capacity, Ccf ccf)
 {
     fatal_if(n % 16 != 0, "element count %zu is not a multiple of 16", n);
+    uint64_t nnz;
+    if (simd::compressStream32(reinterpret_cast<const uint8_t *>(src),
+                               n / 16, ccf == Ccf::LTEZ, dst, dst_capacity,
+                               nnz))
+        return wholeStreamStats(n / 16, nnz);
+    // The per-vector writer is the specification; it also raises the
+    // overflow the kernel declined.
     CompressedWriter w(dst, dst_capacity, ElemType::F32, ccf,
                        /*record_nnz=*/false);
     for (size_t i = 0; i < n; i += 16)
@@ -254,6 +279,13 @@ expandBufferPs(const uint8_t *src, size_t src_capacity, float *dst,
                size_t n)
 {
     fatal_if(n % 16 != 0, "element count %zu is not a multiple of 16", n);
+    uint64_t nnz;
+    if (!FaultInjector::global().enabled() &&
+        simd::expandStream32(src, src_capacity, n / 16,
+                             reinterpret_cast<uint8_t *>(dst), nnz))
+        return wholeStreamStats(n / 16, nnz);
+    // The per-vector reader is the specification; it also raises the
+    // truncation the kernel declined and visits the fault sites.
     CompressedReader r(src, src_capacity, ElemType::F32);
     for (size_t i = 0; i < n; i += 16) {
         Vec512 v = r.get();

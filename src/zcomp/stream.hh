@@ -155,14 +155,20 @@ class CompressedReader
 
 /**
  * Compress a whole fp32 buffer (n must be a multiple of 16) into dst
- * with interleaved headers. Returns the stream statistics.
+ * with interleaved headers. Returns the stream statistics. Bytes,
+ * statistics and the overflow fatal() are those of a CompressedWriter
+ * loop, which runs whenever simd::compressStream32 declines the
+ * buffer.
  */
 StreamStats compressBufferPs(const float *src, size_t n, uint8_t *dst,
                              size_t dst_capacity, Ccf ccf);
 
 /**
  * Expand a whole interleaved-header fp32 stream of n elements
- * (multiple of 16) into dst. Returns the stream statistics.
+ * (multiple of 16) into dst. Returns the stream statistics. Output,
+ * statistics and DecodeErrors are those of a CompressedReader loop,
+ * which runs whenever a fault spec is armed or
+ * simd::expandStream32 declines the stream.
  */
 StreamStats expandBufferPs(const uint8_t *src, size_t src_capacity,
                            float *dst, size_t n);

@@ -3,7 +3,8 @@
  * Unit tests for the CompressionScheme list and the Figure 15
  * comparators: hand-computed EBPC/ZVC golden encodings, the EBPC
  * closed form against the plane-by-plane scan it replaced on every
- * backend, list order and lookup misses, the 64-byte per-line clamp
+ * backend, the zero-value schemes' histogram pass against their
+ * per-line sum, list order and lookup misses, the 64-byte per-line clamp
  * on incompressible data, and the typed DecodeError on misaligned
  * snapshots.
  */
@@ -222,6 +223,75 @@ TEST(EbpcDiff, EveryZeroPatternMatchesPlaneScan)
                 << simd::backendName(b) << " nonzero mask 0x" << std::hex
                 << mask;
         }
+    }
+}
+
+// --- Zero-value schemes: one histogram pass vs the per-line sum -----
+
+TEST(ZeroValueDiff, HistogramRatioMatchesPerLineSum)
+{
+    // The per-line sum is the default snapshotRatio() the histogram
+    // pass replaced for avx512-comp, zcomp and zvc; line-aligned and
+    // 1- and 4-byte shifted buffers.
+    using namespace codec_lines;
+    BackendGuard guard;
+    for (simd::Backend b : supportedBackends()) {
+        simd::setBackend(b);
+        uint64_t seed = 1;
+        for (Kind kind : allKinds) {
+            for (double sparsity : {0.0, 0.3, 0.5, 0.9, 1.0}) {
+                for (size_t lines : {1, 3, 4, 5, 17, 259}) {
+                    for (size_t shift : {0, 1, 4}) {
+                        const std::vector<uint8_t> raw =
+                            makeLines(lines + 1, kind, sparsity, seed++);
+                        const uint8_t *data = raw.data() + shift;
+                        const size_t bytes = lines * 64;
+                        uint64_t hist[17] = {}, want_hist[17] = {};
+                        for (size_t l = 0; l < lines; l++)
+                            want_hist[lineNonzeroWords(data + l * 64)]++;
+                        if (simd::nonzeroWordHistogram(data, lines, hist)) {
+                            for (int k = 0; k <= 16; k++)
+                                ASSERT_EQ(hist[k], want_hist[k])
+                                    << simd::backendName(b) << " k " << k;
+                        }
+                        for (const CompressionScheme *s : allSchemes()) {
+                            if (!dynamic_cast<const ZeroValueScheme *>(s))
+                                continue;
+                            uint64_t sum = 0;
+                            for (size_t l = 0; l < lines; l++)
+                                sum += static_cast<uint64_t>(
+                                    s->lineBytes(data + l * 64));
+                            ASSERT_EQ(s->snapshotRatio(data, bytes),
+                                      static_cast<double>(bytes) /
+                                          static_cast<double>(sum))
+                                << simd::backendName(b) << " " << s->name()
+                                << " " << kindName(kind) << " sparsity "
+                                << sparsity << " lines " << lines
+                                << " shift " << shift;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ZeroValueDiff, SchemesSizeByNonzeroCount)
+{
+    // -0.0f is a nonzero word: sizing reads raw bits, as EQZ does.
+    const CompressionScheme *zcomp = schemeByName("zcomp");
+    const CompressionScheme *avx = schemeByName("avx512-comp");
+    const CompressionScheme *zvc = schemeByName("zvc");
+    for (int k = 0; k <= 16; k++) {
+        std::vector<float> words(16, 0.0f);
+        for (int w = 0; w < k; w++)
+            words[static_cast<size_t>(15 - w)] = -0.0f;  // 0x80000000
+        const Line line = lineOf(words);
+        EXPECT_EQ(lineNonzeroWords(line.data()), k);
+        EXPECT_EQ(zcomp->lineBytes(line.data()), std::min(64, 2 + 4 * k));
+        EXPECT_EQ(avx->lineBytes(line.data()), std::min(64, 2 + 4 * k));
+        EXPECT_EQ(zvc->lineBytes(line.data()),
+                  std::min(64, (2 + 4 * k + 7) / 8 * 8));
     }
 }
 

@@ -1,12 +1,16 @@
 /** @file Unit and property tests for compressed stream reader/writer. */
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "codec_lines.hh"
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "zcomp/stream.hh"
 
 using namespace zcomp;
@@ -331,4 +335,289 @@ TEST(Stream, FitsWorstCaseReportsHonestly)
         dense.setLane<float>(i, 1.0f + i);
     w.put(dense);
     EXPECT_FALSE(w.fitsWorstCase());
+}
+
+// ---------------------------------------------------------------------
+// compressBufferPs / expandBufferPs against the per-vector loops they
+// must reproduce, under every backend the host supports.
+// ---------------------------------------------------------------------
+
+namespace {
+
+using codec_lines::BackendGuard;
+using codec_lines::supportedBackends;
+
+/** The specification of compressBufferPs: one put() per vector. */
+StreamStats
+writerLoop(const std::vector<float> &src, uint8_t *dst, size_t cap,
+           Ccf ccf)
+{
+    CompressedWriter w(dst, cap, ElemType::F32, ccf, false);
+    for (size_t i = 0; i < src.size(); i += 16)
+        w.put(Vec512::load(src.data() + i));
+    return w.stats();
+}
+
+/** The specification of expandBufferPs: one get() per vector. */
+StreamStats
+readerLoop(const uint8_t *src, size_t cap, float *dst, size_t n)
+{
+    CompressedReader r(src, cap, ElemType::F32);
+    for (size_t i = 0; i < n; i += 16)
+        r.get().store(dst + i);
+    return r.stats();
+}
+
+void
+expectSameStats(const StreamStats &got, const StreamStats &want,
+                const std::string &what)
+{
+    EXPECT_EQ(got.vectors, want.vectors) << what;
+    EXPECT_EQ(got.nnz, want.nnz) << what;
+    EXPECT_EQ(got.payloadBytes, want.payloadBytes) << what;
+    EXPECT_EQ(got.headerBytes, want.headerBytes) << what;
+}
+
+/** `vectors` 16-lane vectors of codec_lines words, as floats. */
+std::vector<float>
+lineFloats(size_t vectors, codec_lines::Kind kind, double sparsity,
+           uint64_t seed)
+{
+    std::vector<uint8_t> bytes =
+        codec_lines::makeLines(vectors, kind, sparsity, seed);
+    std::vector<float> out(vectors * 16);
+    std::memcpy(out.data(), bytes.data(), bytes.size());
+    return out;
+}
+
+/** What one decode attempt left behind. */
+struct DecodeOutcome
+{
+    std::string error;          //!< DecodeError message; "" if none
+    uint64_t errorsCounted = 0; //!< decodeErrorCount() advance
+    uint64_t headerFaults = 0;  //!< zcomp.header injections
+    uint64_t truncFaults = 0;   //!< zcomp.stream.truncate injections
+    std::vector<float> out;     //!< the output buffer afterwards
+};
+
+/** Run `decode` into a sentinel-filled n-float buffer, with
+ *  `fault_spec` (re)armed first when non-empty. */
+template <typename Decode>
+DecodeOutcome
+decodeOutcome(size_t n, const std::string &fault_spec, Decode decode)
+{
+    FaultInjector &faults = FaultInjector::global();
+    if (!fault_spec.empty())
+        faults.configure(fault_spec);
+    DecodeOutcome o;
+    o.out.assign(n, -7.0f);
+    const uint64_t before = decodeErrorCount();
+    try {
+        decode(o.out.data());
+    } catch (const DecodeError &e) {
+        o.error = e.what();
+    }
+    o.errorsCounted = decodeErrorCount() - before;
+    o.headerFaults = faults.injected(faultsite::ZcompHeader);
+    o.truncFaults = faults.injected(faultsite::StreamTruncate);
+    faults.reset();
+    return o;
+}
+
+void
+expectSameOutcome(const DecodeOutcome &got, const DecodeOutcome &want,
+                  const std::string &what)
+{
+    EXPECT_EQ(got.error, want.error) << what;
+    EXPECT_EQ(got.errorsCounted, want.errorsCounted) << what;
+    EXPECT_EQ(got.headerFaults, want.headerFaults) << what;
+    EXPECT_EQ(got.truncFaults, want.truncFaults) << what;
+    EXPECT_EQ(std::memcmp(got.out.data(), want.out.data(),
+                          got.out.size() * 4),
+              0)
+        << what;
+}
+
+} // namespace
+
+TEST(StreamDiff, BufferMatchesPerVectorLoops)
+{
+    BackendGuard guard;
+    const size_t vectors = 37;
+    const size_t cap = vectors * 66 + 5;
+    for (simd::Backend b : supportedBackends()) {
+        simd::setBackend(b);
+        for (Ccf ccf : {Ccf::EQZ, Ccf::LTEZ}) {
+            for (codec_lines::Kind kind : codec_lines::allKinds) {
+                for (double sp : {0.0, 0.3, 0.5, 0.9, 1.0}) {
+                    const std::string what =
+                        std::string(simd::backendName(b)) + " " +
+                        ccfName(ccf) + " " + codec_lines::kindName(kind) +
+                        " sparsity " + std::to_string(sp);
+                    const std::vector<float> src =
+                        lineFloats(vectors, kind, sp, 11);
+                    std::vector<uint8_t> want(cap, 0xAA), got(cap, 0xAA);
+                    const StreamStats ws =
+                        writerLoop(src, want.data(), cap, ccf);
+                    const StreamStats gs = compressBufferPs(
+                        src.data(), src.size(), got.data(), cap, ccf);
+                    expectSameStats(gs, ws, what);
+                    EXPECT_EQ(got, want) << what;
+
+                    std::vector<float> back(src.size(), -7.0f);
+                    std::vector<float> ref(src.size(), -7.0f);
+                    const StreamStats es = expandBufferPs(
+                        got.data(), ws.totalBytes(), back.data(),
+                        src.size());
+                    expectSameStats(es, ws, what);
+                    readerLoop(got.data(), ws.totalBytes(), ref.data(),
+                               src.size());
+                    EXPECT_EQ(std::memcmp(back.data(), ref.data(),
+                                          src.size() * 4),
+                              0)
+                        << what;
+                    if (ccf == Ccf::EQZ) {
+                        // -0.0f, NaN payloads and denormals come back
+                        // bit for bit.
+                        EXPECT_EQ(std::memcmp(back.data(), src.data(),
+                                              src.size() * 4),
+                                  0)
+                            << what;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(StreamDiff, ExactFitAndOneByteShort)
+{
+    BackendGuard guard;
+    const size_t vectors = 9;
+    for (simd::Backend b : supportedBackends()) {
+        simd::setBackend(b);
+        // Dense ends on a 66-byte vector, sparse on a 2-byte one.
+        for (double sp : {0.0, 0.5}) {
+            std::vector<float> src =
+                lineFloats(vectors, codec_lines::Kind::Mixed, sp, 12);
+            if (sp == 0.0) {
+                for (float &x : src)
+                    x = x == 0.0f ? 1.0f : x;
+            } else {
+                std::fill(src.end() - 16, src.end(), 0.0f);
+            }
+            std::vector<uint8_t> want(vectors * 66, 0xAA);
+            const size_t exact =
+                writerLoop(src, want.data(), want.size(), Ccf::EQZ)
+                    .totalBytes();
+            std::vector<uint8_t> got(exact, 0xAA);
+            const StreamStats gs = compressBufferPs(
+                src.data(), src.size(), got.data(), exact, Ccf::EQZ);
+            EXPECT_EQ(gs.totalBytes(), exact);
+            EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+                << simd::backendName(b) << " sparsity " << sp;
+            EXPECT_DEATH(compressBufferPs(src.data(), src.size(),
+                                          got.data(), exact - 1,
+                                          Ccf::EQZ),
+                         "memory violation")
+                << simd::backendName(b) << " sparsity " << sp;
+        }
+    }
+}
+
+TEST(StreamDiff, TruncatedStreamFailsLikeReaderLoop)
+{
+    BackendGuard guard;
+    const size_t vectors = 8;
+    std::vector<float> src =
+        lineFloats(vectors, codec_lines::Kind::Random, 0.5, 13);
+    // Vector 5 keeps every lane, so a cut can land in its payload.
+    for (size_t i = 5 * 16; i < 6 * 16; i++)
+        src[i] = 1.0f + static_cast<float>(i);
+    std::vector<uint8_t> stream(vectors * 66);
+    CompressedWriter w(stream.data(), stream.size(), ElemType::F32,
+                       Ccf::EQZ);
+    size_t v5 = 0;
+    for (size_t v = 0; v < vectors; v++) {
+        if (v == 5)
+            v5 = w.bytesWritten();
+        w.put(Vec512::load(src.data() + v * 16));
+    }
+    const size_t n = src.size();
+    for (simd::Backend b : supportedBackends()) {
+        simd::setBackend(b);
+        // Inside vector 5's header, then inside its payload. The cut
+        // stream is its own allocation, so a read past it is an
+        // out-of-bounds read under ASan.
+        for (size_t cap : {v5 + 1, v5 + 2 + 16 * 4 - 1}) {
+            const std::string what = std::string(simd::backendName(b)) +
+                                     " capacity " + std::to_string(cap);
+            const std::vector<uint8_t> cut(stream.begin(),
+                                           stream.begin() + cap);
+            const DecodeOutcome want =
+                decodeOutcome(n, "", [&](float *out) {
+                    readerLoop(cut.data(), cap, out, n);
+                });
+            const DecodeOutcome got =
+                decodeOutcome(n, "", [&](float *out) {
+                    expandBufferPs(cut.data(), cap, out, n);
+                });
+            EXPECT_NE(want.error.find("truncated at vector 5"),
+                      std::string::npos)
+                << want.error;
+            EXPECT_EQ(got.errorsCounted, 1u) << what;
+            expectSameOutcome(got, want, what);
+        }
+    }
+}
+
+TEST(StreamDiff, InjectedFaultsMatchReaderLoop)
+{
+    BackendGuard guard;
+    const size_t vectors = 64;
+    const std::vector<float> src =
+        lineFloats(vectors, codec_lines::Kind::Random, 0.5, 14);
+    std::vector<uint8_t> stream(vectors * 66);
+    const size_t bytes = compressBufferPs(src.data(), src.size(),
+                                          stream.data(), stream.size(),
+                                          Ccf::EQZ)
+                             .totalBytes();
+    const size_t n = src.size();
+    for (simd::Backend b : supportedBackends()) {
+        simd::setBackend(b);
+        for (const char *spec :
+             {"zcomp.header:1", "zcomp.stream.truncate:1",
+              "zcomp.header:0.05:3", "zcomp.stream.truncate:0.1:5",
+              "kernel.transient:1"}) {
+            const std::string what =
+                std::string(simd::backendName(b)) + " " + spec;
+            const DecodeOutcome want =
+                decodeOutcome(n, spec, [&](float *out) {
+                    readerLoop(stream.data(), bytes, out, n);
+                });
+            const DecodeOutcome got =
+                decodeOutcome(n, spec, [&](float *out) {
+                    expandBufferPs(stream.data(), bytes, out, n);
+                });
+            expectSameOutcome(got, want, what);
+            if (std::strstr(spec, "zcomp.") == spec) {
+                // Every zcomp spec here fires before the stream ends.
+                EXPECT_EQ(want.errorsCounted, 1u) << what;
+            }
+        }
+        // Probability 1 fires at the first vector, once.
+        const DecodeOutcome header =
+            decodeOutcome(n, "zcomp.header:1", [&](float *out) {
+                expandBufferPs(stream.data(), bytes, out, n);
+            });
+        EXPECT_EQ(header.headerFaults, 1u);
+        EXPECT_EQ(header.errorsCounted, 1u);
+        EXPECT_NE(header.error.find("at vector 0"), std::string::npos);
+        const DecodeOutcome trunc =
+            decodeOutcome(n, "zcomp.stream.truncate:1", [&](float *out) {
+                expandBufferPs(stream.data(), bytes, out, n);
+            });
+        EXPECT_EQ(trunc.truncFaults, 1u);
+        EXPECT_EQ(trunc.errorsCounted, 1u);
+    }
 }

@@ -35,6 +35,7 @@ MICRO_METRICS = {
     "fpcdLinesPerSec": "rate",
     "ebpcLinesPerSec": "rate",
     "zvcLinesPerSec": "rate",
+    "zeroLinesPerSec": "rate",
     "gemmMacsPerSec": "rate",
 }
 FIGURE_METRICS = {

@@ -31,6 +31,10 @@ it writes, with a committed golden file:
                                 every registered compression scheme on
                                 synthetic snapshots (--smoke), under
                                 ZCOMP_SIMD=scalar and auto
+  bench_fig15_cache_comp_smoke_rows.json
+                                the same runs' --report rows: every
+                                (network, snapshot, scheme) ratio at
+                                full precision
 
 bench_smoke's trailing "wall ms" column is host time, so its stdout is
 compared with trailing digits stripped from every line (the same
@@ -38,7 +42,8 @@ compared with trailing digits stripped from every line (the same
 in that form. The metrics golden keeps each record's text as the
 program wrote it, minus the host-clock "hostMs" member, so doubles keep
 their C++ spelling; the stats golden is `json.dumps(..., indent=1)`,
-which keeps key order. The trace golden keys each simulated track
+which keeps key order, and so is the rows golden, taken in the
+compare_reports.py canon. The trace golden keys each simulated track
 group by its process name (pids follow scheduling) and holds its event
 count and the SHA-256 of its sorted canonical events: spans, counter
 samples and lane names, each as sorted-key JSON without the pid. The
@@ -63,6 +68,8 @@ import subprocess
 import sys
 import tempfile
 
+import compare_reports
+
 
 def strip_ms(text):
     return re.sub(r"[0-9]+$", "", text, flags=re.MULTILINE)
@@ -84,6 +91,13 @@ def report_stats(path):
     with open(path) as f:
         rows = json.load(f)["rows"]
     return json.dumps({r["mode"]: r["stats"] for r in rows}, indent=1) + "\n"
+
+
+def report_rows(path):
+    """The report's rows in the compare_reports canon."""
+    with open(path) as f:
+        rows = compare_reports.canon(json.load(f))["rows"]
+    return json.dumps(rows, indent=1) + "\n"
 
 
 def trace_groups(path):
@@ -150,9 +164,13 @@ def runs(tmp):
         golden = "_".join(a.lstrip("-") for a in argv) + ".txt"
         out.append((" ".join(argv), argv, None, [(golden, same)]))
     for simd in ("scalar", "auto"):
+        rows = os.path.join(tmp, f"fig15_{simd}.json")
         out.append((f"bench_fig15_cache_comp --smoke ZCOMP_SIMD={simd}",
-                    ["bench_fig15_cache_comp", "--smoke"], simd,
-                    [("bench_fig15_cache_comp_smoke.txt", same)]))
+                    ["bench_fig15_cache_comp", "--smoke", "--report", rows],
+                    simd,
+                    [("bench_fig15_cache_comp_smoke.txt", same),
+                     ("bench_fig15_cache_comp_smoke_rows.json",
+                      lambda _, rows=rows: report_rows(rows))]))
     return out
 
 

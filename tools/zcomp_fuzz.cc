@@ -18,6 +18,11 @@
  * expanded vectors, NNZ counts - is a bug and fails the run with a
  * seed/round reproducer.
  *
+ * Each round also round-trips one random fp32 buffer of 1-40 vectors
+ * through compressBufferPs/expandBufferPs under every backend under
+ * test and compares the bytes, statistics and expansion with the
+ * per-vector CompressedWriter/CompressedReader loops.
+ *
  * Under --backend both, each round also sizes a random snapshot of
  * 1-40 lines through every compression scheme's snapshotRatio() under
  * the scalar and the native backend and fails on any difference: the
@@ -337,6 +342,63 @@ checkStreams(const RoundCfg &cfg, const std::vector<Vec512> &input,
 }
 
 /**
+ * Whole-buffer differential: one fp32 buffer of 1-40 vectors (lanes
+ * zero with the round's sparsity, else random bits: signed zeros, NaN
+ * payloads and denormals included) through compressBufferPs and
+ * expandBufferPs under each backend. The stream bytes and statistics
+ * must equal a CompressedWriter loop's, and the expansion a
+ * CompressedReader loop's (for EQZ, the input itself).
+ */
+void
+checkBufferStreams(const RoundCfg &cfg,
+                   const std::vector<simd::Backend> &backends, Rng &rng)
+{
+    const size_t n = 16 * (1 + rng.below(40));
+    std::vector<float> src(n, 0.0f);
+    for (float &x : src) {
+        if (rng.chance(cfg.sparsity))
+            continue;
+        const uint32_t bits = static_cast<uint32_t>(rng.next64());
+        std::memcpy(&x, &bits, 4);
+    }
+    const size_t cap = n / 16 * 66;
+    for (simd::Backend b : backends) {
+        simd::setBackend(b);
+        std::vector<uint8_t> want(cap, 0xAA), got(cap, 0xAA);
+        CompressedWriter w(want.data(), cap, ElemType::F32, cfg.ccf);
+        for (size_t i = 0; i < n; i += 16)
+            w.put(Vec512::load(src.data() + i));
+        const StreamStats ws = w.stats();
+        const StreamStats gs = compressBufferPs(src.data(), n, got.data(),
+                                                cap, cfg.ccf);
+        if (gs.vectors != ws.vectors || gs.nnz != ws.nnz ||
+            gs.payloadBytes != ws.payloadBytes ||
+            gs.headerBytes != ws.headerBytes)
+            fail(cfg, "compressBufferPs stats differ from the writer loop "
+                 "under %s (%zu vectors)", simd::backendName(b), n / 16);
+        if (got != want)
+            fail(cfg, "compressBufferPs stream differs from the writer "
+                 "loop under %s (%zu vectors)", simd::backendName(b),
+                 n / 16);
+
+        std::vector<float> back(n, -7.0f), ref(n, -7.0f);
+        const StreamStats es =
+            expandBufferPs(got.data(), ws.totalBytes(), back.data(), n);
+        CompressedReader r(got.data(), ws.totalBytes(), ElemType::F32);
+        for (size_t i = 0; i < n; i += 16)
+            r.get().store(ref.data() + i);
+        if (es.nnz != ws.nnz || es.totalBytes() != ws.totalBytes())
+            fail(cfg, "expandBufferPs stats differ from the writer's "
+                 "under %s", simd::backendName(b));
+        if (std::memcmp(back.data(), ref.data(), n * 4) != 0 ||
+            (cfg.ccf == Ccf::EQZ &&
+             std::memcmp(back.data(), src.data(), n * 4) != 0))
+            fail(cfg, "expandBufferPs output differs from the reader loop "
+                 "under %s", simd::backendName(b));
+    }
+}
+
+/**
  * Scheme differential: one snapshot sized through every scheme under
  * each backend; the ratios must be equal as doubles. Words are zero
  * with the round's sparsity, else random, a repeat of the previous
@@ -580,6 +642,7 @@ main(int argc, char **argv)
         }
         vec_round_trips +=
             static_cast<uint64_t>(cfg.nvec) * backends.size();
+        checkBufferStreams(cfg, backends, rng);
         if (backends.size() > 1) {
             checkSchemes(cfg, backends, rng);
             scheme_snapshots++;
@@ -602,11 +665,13 @@ main(int argc, char **argv)
     }
 
     std::printf("zcomp_fuzz OK: %llu rounds, %llu vector round-trips "
-                "clean, %llu scheme snapshots backend-identical, "
+                "clean, %llu whole buffers match the per-vector loops, "
+                "%llu scheme snapshots backend-identical, "
                 "%llu/%llu injected corruptions detected "
                 "(%.1f s, seed %llu)\n",
                 (unsigned long long)gRound,
                 (unsigned long long)vec_round_trips,
+                (unsigned long long)gRound,
                 (unsigned long long)scheme_snapshots,
                 (unsigned long long)corruptions,
                 (unsigned long long)corruptions, elapsed(),
